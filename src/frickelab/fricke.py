@@ -27,7 +27,7 @@ from .poly import (
     NEG_INF,
     POS_INF,
 )
-from .tracering import TracePoly, trace_polynomial
+from .tracering import TracePoly, trace_in, trace_polynomial
 from .words import Word
 
 Coordinate = Union[Fraction, FieldElement, RatInterval]
@@ -41,7 +41,7 @@ MARKOV = (
 
 
 class NonHyperbolicError(ValueError):
-    """Trace is not certified > 2: elliptic/parabolic or not enough precision."""
+    """|Trace| is not certified > 2: elliptic/parabolic or not enough precision."""
 
 
 class FrickePoint:
@@ -375,7 +375,16 @@ def solve_pattern_system(precision_bits: int = 128) -> FrickePoint:
 
 
 def trace_of(pt: FrickePoint, w: Word, eps=Fraction(1, 2**128)) -> EvalResult:
-    return evaluate_at_point(trace_polynomial(w), pt, eps)
+    """tr(w) at the point: one exact pass at rational and field points;
+    at interval points the expanded polynomial is evaluated, which gives
+    tighter enclosures than interval arithmetic along the word."""
+    if pt.kind == "interval":
+        return evaluate_at_point(trace_polynomial(w), pt, eps)
+    if pt.kind == "field":
+        one, zero = pt.field.from_rational(1), pt.field.from_rational(0)
+    else:
+        one, zero = Fraction(1), Fraction(0)
+    return EvalResult(pt.kind, trace_in(w.letters, *pt.coords, one, zero))
 
 
 def _mpf_tuple_to_fraction(t) -> Fraction:
@@ -394,44 +403,43 @@ def _iv_endpoints(x) -> tuple[Fraction, Fraction]:
     return _mpf_tuple_to_fraction(lo), _mpf_tuple_to_fraction(hi)
 
 
-def _iv_from_fraction(q: Fraction):
-    return mpmath.iv.mpf(q.numerator) / mpmath.iv.mpf(q.denominator)
+def _iv_from_fraction(ctx, q: Fraction):
+    return ctx.mpf(q.numerator) / ctx.mpf(q.denominator)
 
 
 def length_of(pt: FrickePoint, w: Word, precision=Fraction(1, 2**96)) -> RatInterval:
-    """Certified enclosure of the geodesic length 2 arccosh(tr/2).
+    """Certified enclosure of the geodesic length 2 arccosh(|tr|/2).
 
-    Requires the trace certified > 2 (hyperbolic element); raises
+    Requires |tr| certified > 2 (hyperbolic element); raises
     NonHyperbolicError otherwise or when precision runs out.
     """
     precision = Fraction(precision)
     tr = trace_of(pt, w)
     try:
-        if not _certified_above_two(tr):
-            raise NonHyperbolicError(
-                f"trace of {w} is not certified > 2: parabolic or elliptic element"
-            )
+        sign = _hyperbolic_sign(tr)
     except PrecisionError as exc:
-        raise NonHyperbolicError(f"trace of {w} undecidable against 2: {exc}") from exc
+        raise NonHyperbolicError(f"trace of {w} undecidable against ±2: {exc}") from exc
+    if not sign:
+        raise NonHyperbolicError(
+            f"trace of {w} is not certified outside [-2, 2]: parabolic or elliptic element"
+        )
 
-    bits = _bits_needed(precision) + 32
+    ctx = mpmath.ctx_iv.MPIntervalContext()
+    ctx.prec = _bits_needed(precision) + 32
     eps = precision / 16
     for _ in range(12):
         iv_in = tr.interval(eps)
-        old = mpmath.iv.prec
-        mpmath.iv.prec = bits
-        try:
-            # hull of the rigorous enclosures of both rational endpoints
-            u = mpmath.iv.mpf([_iv_from_fraction(iv_in.lo).a, _iv_from_fraction(iv_in.hi).b])
-            half = u / 2
-            val = 2 * mpmath.iv.log(half + mpmath.iv.sqrt(half * half - 1))
-            out = RatInterval(*_iv_endpoints(val))
-        finally:
-            mpmath.iv.prec = old
+        lo, hi = (iv_in.lo, iv_in.hi) if sign > 0 else (-iv_in.hi, -iv_in.lo)
+        # |tr| > 2 is certified, so the enclosure may be clipped at 2; the
+        # hull of the rigorous enclosures of both rational endpoints
+        u = ctx.mpf([_iv_from_fraction(ctx, max(lo, Fraction(2))).a, _iv_from_fraction(ctx, hi).b])
+        half = u / 2
+        val = 2 * ctx.log(half + ctx.sqrt(half * half - 1))
+        out = RatInterval(*_iv_endpoints(val))
         if out.width() < precision:
             return out
         eps /= 256
-        bits += 64
+        ctx.prec += 64
     raise NonHyperbolicError(f"length enclosure for {w} did not reach width {precision}")
 
 
@@ -441,16 +449,14 @@ def _bits_needed(eps: Fraction) -> int:
     return max(64, ratio.bit_length() + 8)
 
 
-def _certified_above_two(tr: EvalResult) -> bool:
-    if tr.kind == "rational":
-        return tr.value > 2
-    if tr.kind == "field":
-        return tr.value.cmp_rational(2) == 1
-    if tr.value.lo > 2:
-        return True
-    if tr.value.hi <= 2:
-        return False
-    raise PrecisionError("trace interval straddles 2")
+def _hyperbolic_sign(tr: EvalResult) -> int:
+    """1 if tr > 2, -1 if tr < -2, 0 if |tr| <= 2; PrecisionError when an
+    interval value straddles 2 or -2."""
+    if _coord_cmp_rational(tr.value, 2) > 0:
+        return 1
+    if _coord_cmp_rational(tr.value, -2) < 0:
+        return -1
+    return 0
 
 
 # -- sampling Markov-surface points -------------------------------------------------

@@ -2,20 +2,22 @@
 
 For any word w in F(a, b) there is a unique integer polynomial P in
 X = tr(a), Y = tr(b), Z = tr(ab) with P(tr A, tr B, tr AB) = tr(w) for
-every SL(2) representation a -> A, b -> B.  trace_polynomial computes it
-by the Horowitz reduction built on the identities
+every SL(2) representation a -> A, b -> B.  Over the trace ring every
+word is a combination c0 + c1 A + c2 B + c3 AB, by the identities
 
-    tr(UV) = tr(U) tr(V) - tr(U V^-1),   tr(U^-1) = tr(U),
-    tr(UV) = tr(VU),
+    A^2 = X A - 1,   B^2 = Y B - 1,   AB + BA = X B + Y A + (Z - X Y),
 
-with base cases tr(1) = 2, tr(a) = X, tr(b) = Y, tr(ab) = Z.
+(Cayley-Hamilton and its polarization), with A^-1 = X - A and
+B^-1 = Y - B for the inverse letters.  trace_in multiplies the word out
+in this basis in one left-to-right pass and returns
+tr(w) = 2 c0 + X c1 + Y c2 + Z c3; trace_polynomial runs it over TracePoly.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .words import Word, concat, cyclic_reduce, invert
+from .words import Word
 
 Monomial = tuple[int, int, int]  # exponents of X, Y, Z
 
@@ -74,6 +76,12 @@ class TracePoly:
         return self + (-other)
 
     def __mul__(self, other: "TracePoly") -> "TracePoly":
+        if len(self.terms) == 1:
+            self, other = other, self
+        if len(other.terms) == 1:
+            # a monomial factor only shifts exponents
+            ((i2, j2, k2), c2), = other.terms.items()
+            return TracePoly({(i1 + i2, j1 + j2, k1 + k2): c1 * c2 for (i1, j1, k1), c1 in self.terms.items()})
         out: dict[Monomial, int] = {}
         for (i1, j1, k1), c1 in self.terms.items():
             for (i2, j2, k2), c2 in other.terms.items():
@@ -217,92 +225,52 @@ def parse_tracepoly(text: str) -> TracePoly:
     return out
 
 
-# -- the Horowitz reduction ---------------------------------------------------
+# -- the trace pass ------------------------------------------------------------
 
-_TWO = TracePoly.constant(2)
+
+def trace_in(letters, x, y, z, one, zero):
+    """Trace of the word spelled by letters, over any commutative ring.
+
+    x, y, z are tr A, tr B, tr AB in the ring; one and zero are its unit
+    and zero.  The running product is kept as c0 + c1 A + c2 B + c3 AB and
+    multiplied on the right one letter at a time.
+    """
+    w = z - x * y
+    c0, c1, c2, c3 = one, zero, zero, zero
+    for gen, exp in letters:
+        if gen == "a":
+            if exp > 0:
+                c0, c1, c2, c3 = (
+                    w * c2 - c1 - y * c3,
+                    c0 + x * c1 + y * c2 + z * c3,
+                    x * c2 + c3,
+                    -c2,
+                )
+            else:
+                c0, c1, c2, c3 = (
+                    x * c0 + c1 - w * c2 + y * c3,
+                    -(c0 + y * c2 + z * c3),
+                    -c3,
+                    c2 + x * c3,
+                )
+        elif exp > 0:
+            c0, c1, c2, c3 = -c2, -c3, c0 + y * c2, c1 + y * c3
+        else:
+            c0, c1, c2, c3 = y * c0 + c2, y * c1 + c3, -c0, -c1
+    return c0 + c0 + x * c1 + y * c2 + z * c3
+
+
 _X = TracePoly.variable("X")
 _Y = TracePoly.variable("Y")
 _Z = TracePoly.variable("Z")
-
-_A = (("a", 1),)
-_B = (("b", 1),)
-_AB = (("a", 1), ("b", 1))
-
-# memo keyed on the canonical conjugacy representative (single-threaded use;
-# results are value-identical regardless of fill order)
-_memo: dict[tuple, TracePoly] = {}
-
-
-def _canonical_key(w: Word) -> Word:
-    """Smaller of the conjugacy representatives of w and w^-1."""
-    c1 = cyclic_reduce(w)
-    c2 = cyclic_reduce(invert(w))
-    return c1 if c1.sort_key() <= c2.sort_key() else c2
+_ONE = TracePoly.constant(1)
+_ZERO = TracePoly()
 
 
 def trace_polynomial(w: Word) -> TracePoly:
-    rep = _canonical_key(w)
-    key = rep.letters
-    cached = _memo.get(key)
-    if cached is not None:
-        return cached
-    result = _reduce_rep(rep)
-    _memo[key] = result
-    return result
-
-
-def _reduce_rep(rep: Word) -> TracePoly:
-    letters = rep.letters
-    n = len(letters)
-    if n == 0:
-        return _TWO
-    if n == 1:
-        return _X if letters[0][0] == "a" else _Y
-    if letters == _AB:
-        return _Z
-
-    # work with whichever of rep, rep^-1 has fewer inverse letters, so each
-    # splitting step strictly decreases (length, inverse-letter count)
-    neg = sum(1 for _, e in letters if e < 0)
-    if 2 * neg > n:
-        letters = invert(rep).letters
-        neg = n - neg
-
-    # adjacent equal letters (cyclically): split one letter off the block
-    for i in range(n):
-        j = (i + 1) % n
-        if letters[i] == letters[j]:
-            rotated = letters[i:] + letters[:i]
-            head = Word([rotated[0]])
-            tail = Word(rotated[1:])
-            return (
-                trace_polynomial(head) * trace_polynomial(tail)
-                - trace_polynomial(concat(head, invert(tail)))
-            )
-
-    if neg:
-        # alternating with an inverse letter: rotate it to the end and use
-        # tr(U g^-1) = tr(U) tr(g) - tr(U g)
-        i = next(idx for idx, (_, e) in enumerate(letters) if e < 0)
-        rotated = letters[i + 1:] + letters[: i + 1]
-        u = Word(rotated[:-1])
-        gen = rotated[-1][0]
-        g_pos = Word([(gen, 1)])
-        return (
-            trace_polynomial(u) * trace_polynomial(g_pos)
-            - trace_polynomial(concat(u, g_pos))
-        )
-
-    # all-positive alternating word: a power of the syllable ab (up to
-    # rotation); peel one syllable
-    head = Word(letters[:2])
-    tail = Word(letters[2:])
-    return (
-        trace_polynomial(head) * trace_polynomial(tail)
-        - trace_polynomial(concat(head, invert(tail)))
-    )
+    """The integer polynomial in X, Y, Z giving tr(w)."""
+    return trace_in(w.letters, _X, _Y, _Z, _ONE, _ZERO)
 
 
 def clear_trace_memo() -> None:
-    """Drop the memo table (used by tests to compare cold and cached runs)."""
-    _memo.clear()
+    """No-op kept for callers of the old memoized API: there is no memo."""

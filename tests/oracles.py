@@ -1,8 +1,9 @@
 """Independent reference implementations used as test oracles.
 
 Everything here deliberately avoids the library's own code paths: plain
-float 2x2 matrices for traces, trial-division factorization over prime
-fields, and Fraction Gaussian elimination for determinants.
+2x2 matrices (float or exact Fraction) for traces, trial-division
+factorization over prime fields, and Fraction Gaussian elimination for
+determinants.
 """
 
 import math
@@ -32,15 +33,24 @@ def mat_inv_sl2(a):
     return [[a[1][1], -a[0][1]], [-a[1][0], a[0][0]]]
 
 
+def random_sl2_rational(rng: random.Random):
+    """Random 2x2 Fraction matrix with determinant exactly 1."""
+    a = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
+    b = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+    c = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+    return [[a, b], [c, (1 + b * c) / a]]
+
+
 def word_matrix(w, A, B):
-    m = [[1.0, 0.0], [0.0, 1.0]]
+    """Product of the letter matrices; exact when A and B hold Fractions."""
+    m = [[1, 0], [0, 1]]
     for g, e in w:
         base = A if g == "a" else B
         m = mat_mul(m, base if e == 1 else mat_inv_sl2(base))
     return m
 
 
-def numeric_trace(w, A, B) -> float:
+def numeric_trace(w, A, B):
     m = word_matrix(w, A, B)
     return m[0][0] + m[1][1]
 

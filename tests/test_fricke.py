@@ -23,6 +23,8 @@ from frickelab.intervals import PrecisionError, RatInterval
 from frickelab.poly import UniPoly
 from frickelab.words import parse_word
 
+from oracles import word_matrix
+
 QUINTIC = UniPoly([-4, 4, 3, -4, -2, 1])
 
 
@@ -165,6 +167,42 @@ def test_length_rejects_non_hyperbolic():
         length_of(pt, parse_word("a"), Fraction(1, 1000))
     with pytest.raises(NonHyperbolicError):
         length_of(FrickePoint.from_rationals(1, 3, 3), parse_word("a"), Fraction(1, 1000))
+
+
+def test_length_of_negative_trace():
+    # abAAB has trace about -8.74 at the solved point: hyperbolic, length
+    # 2 acosh(|tr| / 2).  Oracle: an mpmath matrix pair with tr A = tr B = x0
+    # and tr AB = z0 = (x0^2 + x0 - 2) / x0.
+    pt = solve_pattern_system(128)
+    iv = length_of(pt, parse_word("abAAB"))
+    assert iv.width() < Fraction(1, 2 ** 96)
+    mpmath.mp.dps = 60
+    x0 = mpmath.findroot(lambda t: t ** 5 - 2 * t ** 4 - 4 * t ** 3 + 3 * t ** 2 + 4 * t - 4, 2.9)
+    z0 = (x0 ** 2 + x0 - 2) / x0
+    s = (z0 + mpmath.sqrt(z0 ** 2 - 4)) / 2
+    A = [[x0, -1], [1, 0]]
+    B = [[0, s], [-1 / s, x0]]
+    m = word_matrix(parse_word("abAAB"), A, B)
+    tr = m[0][0] + m[1][1]
+    assert -9 < tr < -8
+    expected = 2 * mpmath.acosh(-tr / 2)
+    slack = mpmath.mpf(10) ** -45
+    lo, hi = (mpmath.mpf(q.numerator) / q.denominator for q in (iv.lo, iv.hi))
+    assert lo - slack <= expected <= hi + slack
+    # tr(abAB) = -2 at every point of T(1,1): parabolic, still refused
+    with pytest.raises(NonHyperbolicError):
+        length_of(pt, parse_word("abAB"))
+
+
+def test_length_of_interval_traces_near_minus_two():
+    near = RatInterval(Fraction(-21, 10), Fraction(-19, 10))
+    pt = FrickePoint.from_intervals(near, RatInterval.point(3), RatInterval.point(3))
+    with pytest.raises(NonHyperbolicError):
+        length_of(pt, parse_word("a"))
+    below = RatInterval(Fraction(-31, 10), Fraction(-29, 10))
+    pt = FrickePoint.from_intervals(below, RatInterval.point(3), RatInterval.point(3))
+    iv = length_of(pt, parse_word("a"), Fraction(1, 2))
+    assert iv.contains(Fraction(1924, 1000))  # 2 acosh(3/2) = 1.9248...
 
 
 def test_rational_length_point():
