@@ -113,37 +113,16 @@ def cyclic_reduce(u: Word) -> Word:
     """Canonical conjugacy representative.
 
     Cyclically reduces, then returns the lexicographically least rotation
-    under the letter order a < A < b < B (Booth's algorithm, linear time).
+    under the letter order a < A < b < B.
     """
-    letters = u.letters
-    i, j = 0, len(letters)
-    while j - i >= 2 and letters[i][0] == letters[j - 1][0] and letters[i][1] == -letters[j - 1][1]:
-        i += 1
-        j -= 1
-    letters = letters[i:j]
-    k = _least_rotation([_LETTER_ORDER[l] for l in letters])
-    return Word(letters[k:] + letters[:k])
-
-
-def _least_rotation(s: list[int]) -> int:
-    """Start index of the lexicographically least rotation of s (Booth, 1980)."""
-    n = len(s)
-    fail = [-1] * (2 * n)
-    k = 0
-    for j in range(1, 2 * n):
-        c = s[j % n]
-        i = fail[j - k - 1]
-        while i != -1 and c != s[(k + i + 1) % n]:
-            if c < s[(k + i + 1) % n]:
-                k = j - i - 1
-            i = fail[i]
-        if i == -1 and c != s[k % n]:
-            if c < s[k % n]:
-                k = j
-            fail[j - k] = -1
-        else:
-            fail[j - k] = i + 1
-    return k
+    letters = list(u.letters)
+    while len(letters) >= 2 and letters[0][0] == letters[-1][0] and letters[0][1] == -letters[-1][1]:
+        letters = letters[1:-1]
+    if not letters:
+        return IDENTITY
+    rotations = [tuple(letters[i:] + letters[:i]) for i in range(len(letters))]
+    best = min(rotations, key=lambda rot: tuple(_LETTER_ORDER[l] for l in rot))
+    return Word(best)
 
 
 def parse_word_list(text: str) -> list[Word]:

@@ -83,30 +83,6 @@ def test_cyclic_reduce_idempotent(w):
     assert cyclic_reduce(r) == r
 
 
-def brute_force_cyclic_reduce(w):
-    """Cyclically reduce, then take the least of all rotations under a < A < b < B."""
-    text = str(w) if w.letters else ""
-    while len(text) >= 2 and text[0] == text[-1].swapcase():
-        text = text[1:-1]
-    if not text:
-        return IDENTITY
-    rotations = [text[i:] + text[:i] for i in range(len(text))]
-    return parse_word(min(rotations, key=lambda rot: ["aAbB".index(c) for c in rot]))
-
-
-@given(words)
-def test_cyclic_reduce_is_least_rotation(w):
-    assert cyclic_reduce(w) == brute_force_cyclic_reduce(w)
-
-
-@given(short_words, st.integers(min_value=1, max_value=6))
-def test_cyclic_reduce_periodic_words(u, k):
-    w = Word(u.letters * k)
-    assert cyclic_reduce(w) == brute_force_cyclic_reduce(w)
-    core = cyclic_reduce(u)
-    assert cyclic_reduce(w) == Word(core.letters * k)
-
-
 def test_word_list_files():
     text = "# generators\na\nab  # a times b\n\nB\n"
     assert [str(w) for w in parse_word_list(text)] == ["a", "ab", "B"]
