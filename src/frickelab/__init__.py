@@ -1,7 +1,7 @@
 """Exact-arithmetic toolkit for the trace calculus of the once-punctured torus.
 
 Words in F(a, b), integer polynomial certification (Sturm chains, root
-isolation, mod-p factorization), symbolic SL(2) trace polynomials in the
+isolation, mod-p factor-degree patterns), symbolic SL(2) trace polynomials in the
 Fricke coordinates, certified algebraic reals, Salem and Galois verdicts,
 Fricke points with geodesic lengths, and marked-length-variety membership.
 """

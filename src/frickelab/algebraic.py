@@ -63,7 +63,7 @@ class AlgebraicReal:
             return 1
         if q >= self.hi:
             return -1
-        if self.poly.evaluate(q) == 0:
+        if self.poly.sign_at(q) == 0:
             return 0
         return -1 if sturm_count(self.poly, self.lo, q) == 1 else 1
 

@@ -1,16 +1,16 @@
 """Exact univariate polynomial algebra over the integers.
 
 Everything here is certificate-grade: unbounded integer (or rational)
-arithmetic throughout, no floating point.  Provides subresultant gcd,
+arithmetic throughout, no floating point.  Provides a primitive-PRS gcd,
 resultants, Sturm chains, real root isolation/refinement by bisection,
-factorization over prime fields, and witness-based irreducibility.
+factor-degree patterns mod p, and witness-based irreducibility.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 
 class EndpointRootError(ValueError):
@@ -128,8 +128,16 @@ class UniPoly:
         return acc
 
     def sign_at(self, t) -> int:
-        v = self.evaluate(t)
-        return (v > 0) - (v < 0)
+        """Sign at a rational t = num/den by integer Horner on the homogenized
+        polynomial, sum c_i num^i den^(n-i); den > 0 keeps the sign of p(t)."""
+        if not isinstance(t, (int, Fraction)):
+            t = Fraction(t)
+        num, den = t.numerator, t.denominator
+        acc, scale = 0, 1
+        for c in reversed(self.coeffs):
+            acc = acc * num + c * scale
+            scale *= den
+        return (acc > 0) - (acc < 0)
 
     def derivative(self) -> "UniPoly":
         return UniPoly(i * c for i, c in enumerate(self.coeffs) if i > 0)
@@ -202,7 +210,7 @@ def exact_div(p: UniPoly, q: UniPoly) -> UniPoly:
 
 
 def gcd(p: UniPoly, q: UniPoly) -> UniPoly:
-    """Primitive gcd with positive leading coefficient (subresultant scheme)."""
+    """Primitive gcd with positive leading coefficient (primitive PRS)."""
     if p.is_zero() and q.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
     if p.is_zero():
@@ -357,7 +365,7 @@ def sturm_count(p: UniPoly, lo, hi) -> int:
     if lo is not NEG_INF and hi is not POS_INF and Fraction(lo) >= Fraction(hi):
         raise ValueError("empty interval: lo must be less than hi")
     for t, name in ((lo, "lo"), (hi, "hi")):
-        if t is not NEG_INF and t is not POS_INF and sf.evaluate(t) == 0:
+        if t is not NEG_INF and t is not POS_INF and sf.sign_at(t) == 0:
             raise EndpointRootError(f"endpoint {name}={t} is a root; perturb it rationally")
     chain = sturm_chain(sf)
     return _variations(chain, lo) - _variations(chain, hi)
@@ -393,7 +401,7 @@ def isolate_real_roots(p: UniPoly) -> list[tuple[Fraction, Fraction]]:
             out.append((lo, hi))
             return
         mid = (lo + hi) / 2
-        if sf.evaluate(mid) != 0:
+        if sf.sign_at(mid) != 0:
             kl = count(lo, mid)
             split(lo, mid, kl)
             split(mid, hi, k - kl)
@@ -402,7 +410,7 @@ def isolate_real_roots(p: UniPoly) -> list[tuple[Fraction, Fraction]]:
         delta = (hi - lo) / 4
         while True:
             m1, m2 = mid - delta, mid + delta
-            if sf.evaluate(m1) != 0 and sf.evaluate(m2) != 0 and count(m1, m2) == 1:
+            if sf.sign_at(m1) != 0 and sf.sign_at(m2) != 0 and count(m1, m2) == 1:
                 break
             delta /= 2
         kl = count(lo, m1)
@@ -458,40 +466,21 @@ def _gf_trim(f: list[int], p: int) -> list[int]:
     return f
 
 
-def _gf_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _gf_trim(out, p)
-
-
-def _gf_sub(a: list[int], b: list[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    return _gf_trim(
-        [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p for i in range(n)], p
-    )
-
-
 def _gf_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder mod p; the remainder is reduced once, at the end."""
     if not b:
         raise ZeroDivisionError("division by zero polynomial mod p")
-    a = a[:]
+    m = len(b) - 1
     inv = pow(b[-1], p - 2, p)
-    q = [0] * max(len(a) - len(b) + 1, 1)
-    while len(a) >= len(b):
-        c = a[-1] * inv % p
-        k = len(a) - len(b)
-        q[k] = c
-        for i in range(len(b)):
-            a[i + k] = (a[i + k] - c * b[i]) % p
-        a.pop()
-        while a and a[-1] % p == 0:
-            a.pop()
-    return _gf_trim(q, p), _gf_trim(a, p)
+    low = b[:m]
+    r = list(a)
+    q = [0] * max(len(a) - m, 1)
+    for k in range(len(a) - 1 - m, -1, -1):
+        c = r[k + m] * inv % p
+        if c:
+            q[k] = c
+            r[k:k + m] = [x - c * y for x, y in zip(r[k:k + m], low)]
+    return _gf_trim(q, p), _gf_trim(r[:m], p)
 
 
 def _gf_monic(f: list[int], p: int) -> list[int]:
@@ -505,17 +494,6 @@ def _gf_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     while b:
         a, b = b, _gf_divmod(a, b, p)[1]
     return _gf_monic(a, p)
-
-
-def _gf_pow_mod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _gf_divmod(base, mod, p)[1]
-    while e > 0:
-        if e & 1:
-            result = _gf_divmod(_gf_mul(result, base, p), mod, p)[1]
-        base = _gf_divmod(_gf_mul(base, base, p), mod, p)[1]
-        e >>= 1
-    return result
 
 
 def _gf_deriv(f: list[int], p: int) -> list[int]:
@@ -558,61 +536,81 @@ def _gf_sqf_list(f: list[int], p: int) -> list[tuple[tuple[int, ...], int]]:
     return sorted(out.items())
 
 
-def _gf_ddf(f: list[int], p: int) -> list[tuple[list[int], int]]:
-    """Distinct-degree factorization of monic square-free f: [(product, degree)]."""
+def _pack(cs: list[int], w: int) -> int:
+    """Kronecker substitution: nonnegative coefficients into w-bit slots."""
+    acc = 0
+    for c in reversed(cs):
+        acc = (acc << w) | c
+    return acc
+
+
+def _unpack(v: int, w: int, n: int, p: int) -> list[int]:
+    """The first n slots of a packed int, each reduced mod p."""
+    mask = (1 << w) - 1
     out = []
-    x = [0, 1]
-    h = _gf_pow_mod(x, p, f, p)
-    d = 1
-    while len(f) - 1 >= 2 * d:
-        g = _gf_gcd(f, _gf_sub(h, x, p), p)
-        if len(g) > 1:
-            out.append((g, d))
-            f = _gf_divmod(f, g, p)[0]
-            h = _gf_divmod(h, f, p)[1]
-        h = _gf_pow_mod(h, p, f, p)
-        d += 1
-    if len(f) > 1:
-        out.append((f, len(f) - 1))
+    for _ in range(n):
+        out.append((v & mask) % p)
+        v >>= w
     return out
 
 
-def _gf_element_seq(p: int, max_deg: int) -> Iterator[list[int]]:
-    """Deterministic sweep of nonconstant polynomials of degree < max_deg."""
-    for deg in range(1, max_deg):
-        count = p ** deg
-        for code in range(count):
-            cs = []
-            c = code
-            for _ in range(deg):
-                cs.append(c % p)
-                c //= p
-            cs.append(1)
-            yield cs
+def _gf_ddf_degrees(f: list[int], p: int) -> list[int]:
+    """Degrees of the irreducible factors of monic square-free f over F_p.
 
-
-def _gf_edf(f: list[int], d: int, p: int) -> list[list[int]]:
-    """Split monic square-free f (all irreducible factors of degree d)."""
+    Distinct-degree factorization driven by the Frobenius matrix: row i is
+    x^(ip) mod f, packed, so h -> h^p mod f is one packed sum.  h_d =
+    x^(p^d) mod f stays valid modulo every divisor of f, and gcd(rest,
+    h_d - x) has degree k*d when rest has k factors of degree d.
+    """
     n = len(f) - 1
-    if n == d:
-        return [f]
-    for r in _gf_element_seq(p, n):
-        if p == 2:
-            # trace map over F_2
-            t = [0]
-            acc = _gf_divmod(r, f, p)[1]
-            for _ in range(d):
-                t = _gf_sub(t, [-c for c in acc], p)
-                acc = _gf_pow_mod(acc, 2, f, p)
-            g = _gf_gcd(f, t, p)
-        else:
-            e = (p ** d - 1) // 2
-            h = _gf_pow_mod(r, e, f, p)
-            g = _gf_gcd(f, _gf_sub(h, [1], p), p)
-        if 1 < len(g) < len(f):
-            other = _gf_divmod(f, g, p)[0]
-            return _gf_edf(g, d, p) + _gf_edf(other, d, p)
-    raise AssertionError("equal-degree splitting sweep exhausted")
+    if n == 1:
+        return [1]
+    # a slot holds a product coefficient plus the reduction's sum
+    w = (2 * n * (p - 1) ** 2).bit_length()
+    slot, low = (1 << w) - 1, (1 << (n * w)) - 1
+    # x^(n+k) mod f for k < n - 1: reducing a product is one more packed sum
+    r = [-c % p for c in f[:-1]]
+    tails = []
+    for _ in range(n - 1):
+        tails.append(_pack(r, w))
+        top = r[-1]
+        r = [(c - top * fc) % p for c, fc in zip([0] + r[:-1], f)]
+
+    def mulmod(a: int, b: int) -> int:
+        v = a * b
+        acc = v & low
+        v >>= n * w
+        for t in tails:
+            if not v:
+                break
+            acc += (v & slot) % p * t
+            v >>= w
+        return _pack(_unpack(acc, w, n, p), w)
+
+    xp, base, e = 1, 1 << w, p
+    while e:
+        if e & 1:
+            xp = mulmod(xp, base)
+        base = mulmod(base, base)
+        e >>= 1
+    rows = [1, xp]
+    while len(rows) < n:
+        rows.append(mulmod(rows[-1], xp))
+
+    out = []
+    rest, h, d = f, _unpack(xp, w, n, p), 1
+    while len(rest) - 1 >= 2 * d:
+        hx = h[:]
+        hx[1] -= 1
+        g = _gf_gcd(rest, _gf_trim(hx, p), p)
+        if len(g) > 1:
+            out += [d] * ((len(g) - 1) // d)
+            rest = _gf_divmod(rest, g, p)[0]
+        h = _unpack(sum(c * row for c, row in zip(h, rows) if c), w, n, p)
+        d += 1
+    if len(rest) > 1:
+        out.append(len(rest) - 1)
+    return out
 
 
 def _is_small_prime(n: int) -> bool:
@@ -626,16 +624,6 @@ def _is_small_prime(n: int) -> bool:
     return True
 
 
-def gf_factor(f: list[int], p: int) -> list[tuple[tuple[int, ...], int]]:
-    """Monic irreducible factors of f over F_p with multiplicities."""
-    out = []
-    for sq, mult in _gf_sqf_list(f, p):
-        for block, d in _gf_ddf(list(sq), p):
-            for irr in _gf_edf(block, d, p):
-                out.append((tuple(irr), mult))
-    return sorted(out)
-
-
 def factor_mod_p(p: UniPoly, prime: int) -> tuple[tuple[int, int], ...]:
     """Degrees and multiplicities of the irreducible factors of p mod prime."""
     if not _is_small_prime(prime):
@@ -647,8 +635,11 @@ def factor_mod_p(p: UniPoly, prime: int) -> tuple[tuple[int, int], ...]:
     reduced = _gf_trim(list(p.coeffs), prime)
     if len(reduced) <= 1:
         return ()
-    factors = gf_factor(reduced, prime)
-    return tuple(sorted((len(g) - 1, mult) for g, mult in factors))
+    return tuple(sorted(
+        (d, mult)
+        for sq, mult in _gf_sqf_list(reduced, prime)
+        for d in _gf_ddf_degrees(list(sq), prime)
+    ))
 
 
 def primes(bound: int) -> list[int]:
@@ -683,7 +674,7 @@ def rational_roots(p: UniPoly) -> list[Fraction]:
         for num in _divisors(c0):
             for den in _divisors(cn):
                 for cand in (Fraction(num, den), Fraction(-num, den)):
-                    if q.evaluate(cand) == 0:
+                    if q.sign_at(cand) == 0:
                         roots.add(cand)
     return sorted(roots)
 

@@ -53,6 +53,33 @@ def test_evaluate_examples():
     assert QUINTIC.evaluate(Fraction(1, 2)) == Fraction(-4) + 2 + Fraction(3, 4) - Fraction(4, 8) - Fraction(2, 16) + Fraction(1, 32)
 
 
+def _sign(v):
+    return (v > 0) - (v < 0)
+
+
+wide_polys = st.lists(st.integers(-10**30, 10**30), min_size=1, max_size=9).map(UniPoly)
+huge_rationals = st.builds(Fraction, st.integers(-10**60, 10**60), st.integers(1, 10**60))
+
+
+@settings(max_examples=200)
+@given(
+    st.one_of(small_polys, wide_polys),
+    st.one_of(st.integers(-10**6, 10**6), st.fractions(), huge_rationals),
+)
+def test_sign_at_matches_exact_evaluation(p, t):
+    assert p.sign_at(t) == _sign(p.evaluate(t))
+
+
+@settings(max_examples=100)
+@given(small_polys, st.one_of(st.integers(-50, 50), st.fractions(max_denominator=10**9), huge_rationals))
+def test_sign_at_is_zero_at_roots(p, t):
+    t = Fraction(t)
+    root = UniPoly([-t.numerator, t.denominator])  # den*x - num vanishes at t
+    q = p * root
+    assert q.sign_at(t) == 0 == _sign(q.evaluate(t))
+    assert (q + UniPoly([1])).sign_at(t) == 1
+
+
 def test_derivative_examples():
     assert UniPoly([-2, 0, 1]).derivative() == UniPoly([0, 2])
     assert UniPoly([5]).derivative() == UniPoly()
