@@ -20,6 +20,7 @@ from .poly import (
     IsolationError,
     UniPoly,
     _is_small_prime,
+    _sturm_counts,
     discriminant,
     factor_mod_p,
     format_poly,
@@ -28,6 +29,7 @@ from .poly import (
     primes,
     refine_root,
     square_free_part,
+    sturm_chain,
     sturm_count,
     NEG_INF,
     POS_INF,
@@ -35,7 +37,12 @@ from .poly import (
 
 
 class AlgebraicReal:
-    """A real algebraic number: square-free defining polynomial + isolating interval."""
+    """A real algebraic number: square-free defining polynomial + isolating interval.
+
+    Invariant (checked by make_algebraic, kept by refine_root): poly has
+    exactly one root in (lo, hi), a simple one, and poly(lo), poly(hi) are
+    nonzero with opposite signs.
+    """
 
     __slots__ = ("poly", "lo", "hi")
 
@@ -63,9 +70,11 @@ class AlgebraicReal:
             return 1
         if q >= self.hi:
             return -1
-        if self.poly.sign_at(q) == 0:
+        s = self.poly.sign_at(q)
+        if s == 0:
             return 0
-        return -1 if sturm_count(self.poly, self.lo, q) == 1 else 1
+        # the one root lies on the side of q where the sign flips
+        return 1 if s == self.poly.sign_at(self.lo) else -1
 
     def is_root_of(self, f: UniPoly) -> bool:
         """Exact test that f vanishes at this number."""
@@ -355,10 +364,11 @@ def is_geometric_salem(p: UniPoly, prime_bound: int = 500) -> SalemVerdict:
         )
     evidence["irreducibility_witness"] = irr.witness
 
-    # irreducible of degree >= 2: no rational roots, so +-2 are safe endpoints
-    above = sturm_count(q, Fraction(2), POS_INF)
-    window = sturm_count(q, Fraction(-2), Fraction(2))
-    below = sturm_count(q, NEG_INF, Fraction(-2))
+    # irreducible of degree >= 2: square-free with no rational roots, so one
+    # chain counts all three intervals and +-2 are safe endpoints
+    below, window, above = _sturm_counts(
+        sturm_chain(q), NEG_INF, Fraction(-2), Fraction(2), POS_INF
+    )
     n_real = above + window + below
     evidence.update(
         real_roots=n_real, roots_above_2=above, roots_in_window=window, roots_below_minus2=below
@@ -442,8 +452,10 @@ def is_salem(p: UniPoly) -> SalemVerdict:
     m = deg // 2
     h = salem_inverse_transform(p)
     evidence["h_polynomial"] = format_poly(h)
-    above = sturm_count(h, Fraction(2), POS_INF)
-    window = sturm_count(h, Fraction(-2), Fraction(2))
+    # h(2) = p(1) and h(-2) = p(-1) are nonzero, so +-2 are safe endpoints
+    window, above = _sturm_counts(
+        sturm_chain(square_free_part(h)), Fraction(-2), Fraction(2), POS_INF
+    )
     evidence.update(h_roots_above_2=above, h_roots_in_window=window, h_degree=m)
     if above == 0 and window == m:
         return SalemVerdict("NotSalem", "all roots lie on the unit circle, none outside", evidence)
@@ -487,39 +499,40 @@ def galois_cycle_types(p: UniPoly, prime_bound: int = 500) -> GaloisCertificate:
     Concludes FullSymmetric(n) for prime n from an n-cycle pattern plus a
     transposition-forcing pattern (with irreducibility giving transitivity).
     Sampling failure yields Unknown, never a negative claim.
+
+    Each prime is factored once.  The irreducibility witness is the lowest
+    sample with pattern (n,): a prime not dividing lc(q) at which q stays
+    irreducible cannot divide disc(q), since finite fields are perfect, so
+    irreducible_over_Q would name the same prime.  It runs only when no
+    sample is an n-cycle, to report a rational root or Inconclusive.
     """
     if p.is_zero() or p.degree() < 1:
         raise ValueError("Galois sampling needs a nonconstant polynomial")
     q = square_free_part(p)
     n = q.degree()
-    irr = irreducible_over_Q(q, prime_bound)
     disc = discriminant(q)
-    samples = []
-    for prime in primes(prime_bound):
-        if q.lc() % prime == 0 or disc % prime == 0:
-            continue
-        pattern = tuple(sorted(d for d, mult in factor_mod_p(q, prime) for _ in range(mult)))
-        samples.append((prime, pattern))
-    samples_t = tuple(samples)
-
-    if not irr.is_irreducible():
+    samples = tuple(
+        (prime, tuple(sorted(d for d, mult in factor_mod_p(q, prime) for _ in range(mult))))
+        for prime in primes(prime_bound)
+        if q.lc() % prime and disc % prime
+    )
+    witness = next((prime for prime, pat in samples if pat == (n,)), None)
+    if witness is None:
+        irr = irreducible_over_Q(q, prime_bound)
         note = (
             f"irreducibility failed: rational root {irr.root}"
             if irr.status == "rational_root"
             else f"no irreducibility witness below {prime_bound}"
         )
-        return GaloisCertificate(irr, samples_t, "Unknown", note)
+        return GaloisCertificate(irr, samples, "Unknown", note)
 
-    has_ncycle = any(pat == (n,) for _, pat in samples)
-    has_transposition = any(_forces_transposition(pat) for _, pat in samples)
-    if _is_small_prime(n) and has_ncycle and has_transposition:
+    irr = IrreducibilityVerdict("irreducible", witness=witness)
+    if _is_small_prime(n) and any(_forces_transposition(pat) for _, pat in samples):
         return GaloisCertificate(
-            irr, samples_t, f"FullSymmetric({n})",
+            irr, samples, f"FullSymmetric({n})",
             "transitive + n-cycle + transposition generate the symmetric group in prime degree",
         )
-    if has_ncycle:
-        return GaloisCertificate(irr, samples_t, f"ContainsNCycle({n})", "n-cycle pattern observed")
-    return GaloisCertificate(irr, samples_t, "Unknown", "required cycle patterns not observed")
+    return GaloisCertificate(irr, samples, f"ContainsNCycle({n})", "n-cycle pattern observed")
 
 
 # -- non-arithmeticity report ----------------------------------------------------

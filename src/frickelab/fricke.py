@@ -151,8 +151,6 @@ class EvalResult:
         """Exact for rational/field values; PrecisionError on straddling intervals."""
         if self.kind == "rational":
             return (self.value > 0) - (self.value < 0)
-        if self.kind == "field":
-            return self.value.sign()
         return self.value.sign()
 
     def is_certified_zero(self) -> bool:

@@ -347,9 +347,14 @@ def _sign_at_point(p: UniPoly, t) -> int:
     return p.sign_at(t)
 
 
-def _variations(chain: list[UniPoly], t) -> int:
-    signs = [s for s in (_sign_at_point(p, t) for p in chain) if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _sturm_counts(chain: list[UniPoly], *points) -> list[int]:
+    """Distinct roots of chain[0] between each pair of consecutive points
+    (ascending, none of them a root): the drops in sign variations."""
+    v = []
+    for t in points:
+        signs = [s for s in (_sign_at_point(p, t) for p in chain) if s != 0]
+        v.append(sum(1 for a, b in zip(signs, signs[1:]) if a != b))
+    return [a - b for a, b in zip(v, v[1:])]
 
 
 def sturm_count(p: UniPoly, lo, hi) -> int:
@@ -367,8 +372,7 @@ def sturm_count(p: UniPoly, lo, hi) -> int:
     for t, name in ((lo, "lo"), (hi, "hi")):
         if t is not NEG_INF and t is not POS_INF and sf.sign_at(t) == 0:
             raise EndpointRootError(f"endpoint {name}={t} is a root; perturb it rationally")
-    chain = sturm_chain(sf)
-    return _variations(chain, lo) - _variations(chain, hi)
+    return _sturm_counts(sturm_chain(sf), lo, hi)[0]
 
 
 def root_bound(p: UniPoly) -> Fraction:
@@ -391,9 +395,6 @@ def isolate_real_roots(p: UniPoly) -> list[tuple[Fraction, Fraction]]:
     bound = root_bound(sf)
     out: list[tuple[Fraction, Fraction]] = []
 
-    def count(lo: Fraction, hi: Fraction) -> int:
-        return _variations(chain, lo) - _variations(chain, hi)
-
     def split(lo: Fraction, hi: Fraction, k: int) -> None:
         if k == 0:
             return
@@ -402,7 +403,7 @@ def isolate_real_roots(p: UniPoly) -> list[tuple[Fraction, Fraction]]:
             return
         mid = (lo + hi) / 2
         if sf.sign_at(mid) != 0:
-            kl = count(lo, mid)
+            kl = _sturm_counts(chain, lo, mid)[0]
             split(lo, mid, kl)
             split(mid, hi, k - kl)
             return
@@ -410,16 +411,15 @@ def isolate_real_roots(p: UniPoly) -> list[tuple[Fraction, Fraction]]:
         delta = (hi - lo) / 4
         while True:
             m1, m2 = mid - delta, mid + delta
-            if sf.sign_at(m1) != 0 and sf.sign_at(m2) != 0 and count(m1, m2) == 1:
+            if sf.sign_at(m1) != 0 and sf.sign_at(m2) != 0 and _sturm_counts(chain, m1, m2) == [1]:
                 break
             delta /= 2
-        kl = count(lo, m1)
+        kl = _sturm_counts(chain, lo, m1)[0]
         split(lo, m1, kl)
         out.append((m1, m2))
         split(m2, hi, k - kl - 1)
 
-    total = count(-bound, bound)
-    split(-bound, bound, total)
+    split(-bound, bound, _sturm_counts(chain, -bound, bound)[0])
     # tighten for predictable downstream display; disjointness is preserved
     return [refine_root(sf, iv, Fraction(1, 4)) for iv in out]
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .algebraic import SalemVerdict, is_geometric_salem
+from .algebraic import SalemVerdict, _horner_interval, is_geometric_salem
 from .fricke import EvalResult, FrickePoint, evaluate_at_point, trace_of
 from .poly import UniPoly, format_poly
 from .tracering import TracePoly, trace_polynomial
@@ -314,18 +314,8 @@ def _trace_is_root(tr: EvalResult, f: UniPoly, tol: Fraction) -> tuple[bool, boo
         for c in reversed(f.coeffs):
             acc = acc * value + c
         return acc.is_zero(), True
-    iv = tr.value
-    acc = _horner_on_interval(f, iv)
+    acc = _horner_interval(f.coeffs, tr.value)
     return -tol <= acc.lo and acc.hi <= tol, False
-
-
-def _horner_on_interval(f: UniPoly, iv):
-    from .intervals import RatInterval
-
-    acc = RatInterval.point(0)
-    for c in reversed(f.coeffs):
-        acc = acc * iv + c
-    return acc
 
 
 # -- randomized identity suite -----------------------------------------------------

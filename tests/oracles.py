@@ -2,8 +2,8 @@
 
 Everything here deliberately avoids the library's own code paths: plain
 2x2 matrices (float or exact Fraction) for traces, trial-division
-factorization over prime fields, and Fraction Gaussian elimination for
-determinants.
+factorization over prime fields, Fraction Gaussian elimination for
+determinants, and a textbook Fraction Sturm chain for root counts.
 """
 
 import math
@@ -130,3 +130,41 @@ def fraction_det(mat):
     for i in range(n):
         out *= m[i][i]
     return out
+
+
+def rational_sturm_count(p, lo, hi):
+    """Distinct real roots of p in (lo, hi) by textbook Sturm counting over
+    Fractions; p need not be square-free, lo and hi must not be roots."""
+    coeffs = [Fraction(c) for c in p.coeffs]
+
+    def deriv(f):
+        return [i * c for i, c in enumerate(f)][1:]
+
+    def rem(f, g):
+        f = f[:]
+        while len(f) >= len(g) and any(f):
+            c = f[-1] / g[-1]
+            k = len(f) - len(g)
+            for i in range(len(g)):
+                f[i + k] -= c * g[i]
+            f.pop()
+            while f and f[-1] == 0:
+                f.pop()
+        return f
+
+    chain = [coeffs, deriv(coeffs)]
+    while chain[-1] and len(chain[-1]) > 1:
+        r = [-c for c in rem(chain[-2], chain[-1])]
+        if not r:
+            break
+        chain.append(r)
+
+    def var(t):
+        signs = []
+        for f in chain:
+            v = sum(c * t ** i for i, c in enumerate(f))
+            if v:
+                signs.append(1 if v > 0 else -1)
+        return sum(1 for s1, s2 in zip(signs, signs[1:]) if s1 != s2)
+
+    return var(lo) - var(hi)

@@ -28,7 +28,7 @@ from frickelab.poly import (
     sylvester_matrix,
 )
 
-from oracles import brute_force_factor_degrees, fraction_det
+from oracles import brute_force_factor_degrees, fraction_det, rational_sturm_count
 
 QUINTIC = UniPoly([-4, 4, 3, -4, -2, 1])
 
@@ -145,43 +145,6 @@ def test_sturm_chain_shape():
     assert chain[-1].primitive_part() == g or (-chain[-1]).primitive_part() == g
 
 
-def _rational_sturm_count(p, lo, hi):
-    """Textbook Sturm counting over Fractions (independent of the library)."""
-    coeffs = [Fraction(c) for c in p.coeffs]
-
-    def deriv(f):
-        return [i * c for i, c in enumerate(f)][1:]
-
-    def rem(f, g):
-        f = f[:]
-        while len(f) >= len(g) and any(f):
-            c = f[-1] / g[-1]
-            k = len(f) - len(g)
-            for i in range(len(g)):
-                f[i + k] -= c * g[i]
-            f.pop()
-            while f and f[-1] == 0:
-                f.pop()
-        return f
-
-    chain = [coeffs, deriv(coeffs)]
-    while chain[-1] and len(chain[-1]) > 1:
-        r = [-c for c in rem(chain[-2], chain[-1])]
-        if not r:
-            break
-        chain.append(r)
-
-    def var(t):
-        signs = []
-        for f in chain:
-            v = sum(c * t ** i for i, c in enumerate(f))
-            if v:
-                signs.append(1 if v > 0 else -1)
-        return sum(1 for s1, s2 in zip(signs, signs[1:]) if s1 != s2)
-
-    return var(lo) - var(hi)
-
-
 @settings(max_examples=40)
 @given(nonzero_polys)
 def test_sturm_count_matches_rational_chain(p):
@@ -191,7 +154,7 @@ def test_sturm_count_matches_rational_chain(p):
     lo, hi = Fraction(-101, 10), Fraction(101, 10)
     if sf.evaluate(lo) == 0 or sf.evaluate(hi) == 0:
         return
-    assert sturm_count(sf, lo, hi) == _rational_sturm_count(sf, lo, hi)
+    assert sturm_count(sf, lo, hi) == rational_sturm_count(sf, lo, hi)
 
 
 def test_sturm_count_examples():
