@@ -10,6 +10,7 @@ certification.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -20,6 +21,7 @@ from .poly import (
     IsolationError,
     UniPoly,
     _is_small_prime,
+    _square_free_count,
     _sturm_counts,
     discriminant,
     factor_mod_p,
@@ -30,7 +32,6 @@ from .poly import (
     refine_root,
     square_free_part,
     sturm_chain,
-    sturm_count,
     NEG_INF,
     POS_INF,
 )
@@ -77,13 +78,19 @@ class AlgebraicReal:
         return 1 if s == self.poly.sign_at(self.lo) else -1
 
     def is_root_of(self, f: UniPoly) -> bool:
-        """Exact test that f vanishes at this number."""
+        """Exact test that f vanishes at this number.
+
+        g = gcd(poly, f) divides the square-free poly, so by the invariant
+        g has at most the one simple root in (lo, hi) and is nonzero at lo
+        and hi; g changes sign across the interval exactly when that root
+        is a root of g.  No Sturm chain is needed.
+        """
         if f.is_zero():
             return True
         g = gcd(self.poly, f)
         if g.degree() < 1:
             return False
-        return sturm_count(g, self.lo, self.hi) == 1
+        return g.sign_at(self.lo) != g.sign_at(self.hi)
 
     def to_float(self) -> float:
         return float((self.lo + self.hi) / 2)
@@ -100,7 +107,7 @@ def make_algebraic(p: UniPoly, hint: tuple) -> AlgebraicReal:
     lo, hi = Fraction(hint[0]), Fraction(hint[1])
     if sf.degree() < 1:
         raise IsolationError(f"({lo}, {hi}) contains 0 roots of a constant", count=0)
-    count = sturm_count(sf, lo, hi)
+    count = _square_free_count(sf, lo, hi)
     if count != 1:
         raise IsolationError(
             f"interval ({lo}, {hi}) contains {count} roots of {format_poly(sf)}, expected 1",
@@ -119,9 +126,13 @@ def make_algebraic(p: UniPoly, hint: tuple) -> AlgebraicReal:
 class NumberField:
     """Q(theta) for theta a certified real root of an irreducible polynomial.
 
-    Elements are reduced polynomials in theta with rational coefficients;
-    sign determination is exact (a nonzero element cannot vanish at theta,
-    so interval refinement of theta terminates).
+    An element (n_0 + n_1 theta + ... + n_{d-1} theta^(d-1)) / D is stored
+    as the integer numerators n_i over one positive common denominator D,
+    always in lowest terms: gcd(D, n_0, ..., n_{d-1}) = 1.  Each element
+    thus has one representation, and products and sums need integer
+    arithmetic only (Cohen, A Course in Computational Algebraic Number
+    Theory, 4.2).  Sign determination is exact: a nonzero element cannot
+    vanish at theta, so interval refinement of theta terminates.
     """
 
     def __init__(self, defining: UniPoly, root: AlgebraicReal, irreducibility: IrreducibilityVerdict):
@@ -131,51 +142,79 @@ class NumberField:
         self.root = root
         self.irreducibility = irreducibility
         self.degree = defining.degree()
-        lc = Fraction(defining.lc())
-        self._monic = tuple(Fraction(c) / lc for c in defining.coeffs)
 
-    def reduce(self, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-        cs = list(coeffs)
+    def _element(self, nums: list[int], den: int) -> "FieldElement":
+        """(sum nums[i] theta^i) / den for den > 0, reduced modulo the
+        integer defining polynomial f and brought to lowest terms."""
+        f = self.defining.coeffs
         n = self.degree
-        while len(cs) > n:
-            top = cs.pop()
-            if top:
-                for i in range(n):
-                    cs[len(cs) - n + i] -= top * self._monic[i]
-        cs += [Fraction(0)] * (n - len(cs))
-        return tuple(cs)
+        lead = f[n]
+        for k in range(len(nums) - 1, n - 1, -1):
+            top = nums[k]
+            if not top:
+                continue
+            if lead != 1:
+                # scale everything so that lc(f) divides the top coefficient
+                s = abs(lead) // math.gcd(top, lead)
+                if s != 1:
+                    nums = [c * s for c in nums[: k + 1]]
+                    den *= s
+                    top *= s
+                top //= lead
+            for i in range(n):
+                nums[k - n + i] -= top * f[i]
+        del nums[n:]
+        nums += [0] * (n - len(nums))
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = [c // g for c in nums]
+            den //= g
+        return FieldElement(self, tuple(nums), den)
 
     def element(self, coeffs) -> "FieldElement":
-        return FieldElement(self, self.reduce([Fraction(c) for c in coeffs]))
+        cs = [Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in cs))
+        return self._element([c.numerator * (den // c.denominator) for c in cs], den)
 
     def gen(self) -> "FieldElement":
         return self.element([0, 1])
 
     def from_rational(self, q) -> "FieldElement":
-        return self.element([Fraction(q)])
+        q = Fraction(q)
+        return FieldElement(self, (q.numerator,) + (0,) * (self.degree - 1), q.denominator)
 
 
 class FieldElement:
-    __slots__ = ("field", "coeffs")
+    """(_nums[0] + _nums[1] theta + ...) / _den in lowest terms; see NumberField."""
 
-    def __init__(self, field: NumberField, coeffs: tuple[Fraction, ...]):
+    __slots__ = ("field", "_nums", "_den")
+
+    def __init__(self, field: NumberField, nums: tuple[int, ...], den: int):
+        # trusted constructor: the NumberField methods keep the invariant
         self.field = field
-        self.coeffs = coeffs
+        self._nums = nums
+        self._den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Rational coefficients in the power basis 1, theta, theta^2, ..."""
+        return tuple(Fraction(c, self._den) for c in self._nums)
 
     def __repr__(self) -> str:
         return f"FieldElement({list(self.coeffs)})"
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self._nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self._nums[1:])
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FieldElement)
             and self.field is other.field
-            and self.coeffs == other.coeffs
+            and self._den == other._den
+            and self._nums == other._nums
         )
 
     def _coerce(self, other) -> "FieldElement":
@@ -187,14 +226,18 @@ class FieldElement:
 
     def __add__(self, other) -> "FieldElement":
         other = self._coerce(other)
-        return FieldElement(
-            self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        a, b = self._den, other._den
+        if a == b:
+            nums = [x + y for x, y in zip(self._nums, other._nums)]
+        else:
+            nums = [x * b + y * a for x, y in zip(self._nums, other._nums)]
+            a *= b
+        return self.field._element(nums, a)
 
     __radd__ = __add__
 
     def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field, tuple(-a for a in self.coeffs))
+        return FieldElement(self.field, tuple(-c for c in self._nums), self._den)
 
     def __sub__(self, other) -> "FieldElement":
         return self + (-self._coerce(other))
@@ -204,33 +247,32 @@ class FieldElement:
 
     def __mul__(self, other) -> "FieldElement":
         other = self._coerce(other)
-        a, b = self.coeffs, other.coeffs
-        prod = [Fraction(0)] * (len(a) + len(b) - 1)
+        a, b = self._nums, other._nums
+        prod = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     prod[i + j] += x * y
-        return FieldElement(self.field, self.field.reduce(prod))
+        return self.field._element(prod, self._den * other._den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        # extended Euclid in Q[t] against the monic defining polynomial
-        r0 = list(self.field._monic)
+        # extended Euclid in Q[t] against the defining polynomial, with the
+        # Bezout coefficients s0, s1 kept as field elements
+        r0 = [Fraction(c) for c in self.field.defining.coeffs]
         r1 = list(self.coeffs)
-        s0: list[Fraction] = [Fraction(0)]
-        s1: list[Fraction] = [Fraction(1)]
+        s0, s1 = self.field.from_rational(0), self.field.from_rational(1)
         while True:
             while r1 and r1[-1] == 0:
                 r1.pop()
             if len(r1) == 1:
-                inv = 1 / r1[0]
-                return self.field.element([c * inv for c in s1])
+                return s1 * (1 / r1[0])
             q, r = _qpoly_divmod(r0, r1)
             r0, r1 = r1, r
-            s0, s1 = s1, _qpoly_sub(s0, _qpoly_mul(q, s1))
+            s0, s1 = s1, s0 - self.field.element(q) * s1
 
     def __truediv__(self, other) -> "FieldElement":
         return self * self._coerce(other).inverse()
@@ -251,13 +293,18 @@ class FieldElement:
         return out
 
     def interval(self, eps) -> RatInterval:
-        """Enclosure of width < eps, refining the field generator as needed."""
-        eps = Fraction(eps)
+        """Enclosure of width < eps, refining the field generator as needed.
+
+        Horner runs on the integer numerators; scaling by the positive
+        denominator commutes with interval products, so dividing the
+        endpoints once gives the enclosure of the rational coefficients.
+        """
+        eps = Fraction(eps) * self._den
         root = self.field.root
         while True:
-            iv = _horner_interval(self.coeffs, root.interval())
+            iv = _horner_interval(self._nums, root.interval())
             if iv.width() < eps:
-                return iv
+                return RatInterval(iv.lo / self._den, iv.hi / self._den)
             root = root.refined((root.hi - root.lo) / 2)
 
     def sign(self) -> int:
@@ -266,7 +313,8 @@ class FieldElement:
             return 0
         root = self.field.root
         while True:
-            iv = _horner_interval(self.coeffs, root.interval())
+            # the numerators alone: the denominator is positive
+            iv = _horner_interval(self._nums, root.interval())
             if iv.lo > 0:
                 return 1
             if iv.hi < 0:
@@ -303,25 +351,6 @@ def _qpoly_divmod(a: list[Fraction], b: list[Fraction]):
         while a and a[-1] == 0:
             a.pop()
     return q, a
-
-
-def _qpoly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return [Fraction(0)]
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _qpoly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    return [
-        (a[i] if i < len(a) else Fraction(0)) - (b[i] if i < len(b) else Fraction(0))
-        for i in range(n)
-    ]
 
 
 # -- Salem verdicts --------------------------------------------------------------

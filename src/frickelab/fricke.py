@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-import mpmath
-
 from .algebraic import AlgebraicReal, FieldElement, NumberField, make_algebraic
 from .intervals import PrecisionError, RatInterval
 from .poly import (
@@ -421,6 +419,8 @@ def length_of(pt: FrickePoint, w: Word, precision=Fraction(1, 2**96)) -> RatInte
         raise NonHyperbolicError(
             f"trace of {w} is not certified outside [-2, 2]: parabolic or elliptic element"
         )
+
+    import mpmath  # imported here, its only use, so other commands skip its import cost
 
     ctx = mpmath.ctx_iv.MPIntervalContext()
     ctx.prec = _bits_needed(precision) + 32

@@ -367,6 +367,11 @@ def sturm_count(p: UniPoly, lo, hi) -> int:
     sf = square_free_part(p)
     if sf.degree() == 0:
         return 0
+    return _square_free_count(sf, lo, hi)
+
+
+def _square_free_count(sf: UniPoly, lo, hi) -> int:
+    """sturm_count for sf already square-free and of degree >= 1."""
     if lo is not NEG_INF and hi is not POS_INF and Fraction(lo) >= Fraction(hi):
         raise ValueError("empty interval: lo must be less than hi")
     for t, name in ((lo, "lo"), (hi, "hi")):

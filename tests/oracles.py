@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's own code paths: plain
 2x2 matrices (float or exact Fraction) for traces, trial-division
 factorization over prime fields, Fraction Gaussian elimination for
-determinants, and a textbook Fraction Sturm chain for root counts.
+determinants, a textbook Fraction Sturm chain for root counts, and
+schoolbook products with long division for number-field arithmetic.
 """
 
 import math
@@ -168,3 +169,24 @@ def rational_sturm_count(p, lo, hi):
         return sum(1 for s1, s2 in zip(signs, signs[1:]) if s1 != s2)
 
     return var(lo) - var(hi)
+
+
+def mul_mod(a, b, f):
+    """Coefficients (ascending Fractions, length deg f) of a*b mod f, by the
+    schoolbook product and plain long division; f need not be monic."""
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += Fraction(x) * Fraction(y)
+    return rem_mod(prod, f)
+
+
+def rem_mod(a, f):
+    """Remainder of a modulo f by long division, padded to length deg f."""
+    n = len(f) - 1
+    a = [Fraction(c) for c in a]
+    while len(a) > n:
+        c = a.pop() / Fraction(f[-1])
+        for i in range(n):
+            a[len(a) - n + i] -= c * f[i]
+    return tuple(a + [Fraction(0)] * (n - len(a)))

@@ -174,6 +174,34 @@ def test_cmp_rational_zero_at_rational_root():
     assert half.cmp_rational(Fraction(1, 2) + Fraction(1, 10**9)) == -1
 
 
+def test_is_root_of_matches_rational_sturm():
+    # every real root of a product of distinct irreducibles belongs to one
+    # factor; is_root_of(f) must agree with the textbook count of f on the
+    # isolating interval (whose endpoints are not roots of any factor)
+    rng = random.Random(83)
+    checked = 0
+    for _ in range(25):
+        factors = []
+        while len(factors) < 3:
+            f = _random_poly(rng, rng.randint(1, 4))
+            if f.lc() < 0:
+                f = -f
+            f = f.primitive_part()
+            if f not in factors and irreducible_over_Q(f, 50).is_irreducible():
+                factors.append(f)
+        p = factors[0] * factors[1] * factors[2]
+        for iv in isolate_real_roots(p):
+            a = make_algebraic(p, iv)
+            for b in (a, a.refined(Fraction(1, 2**20))):
+                hits = [f for f in factors if b.is_root_of(f)]
+                assert len(hits) == 1, (p, b.lo, b.hi)
+                for f in factors:
+                    assert b.is_root_of(f) == (rational_sturm_count(f, b.lo, b.hi) == 1)
+                    assert b.is_root_of(f * p) and b.is_root_of(UniPoly())
+                    checked += 1
+    assert checked >= 100
+
+
 # -- golden CLI output on the paper's quintic ---------------------------------------------
 
 

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import frickelab
 from frickelab.cli import main
 
 
@@ -172,3 +177,68 @@ def test_seed_env_default(capsys, monkeypatch):
     code2, out2, _ = run(capsys, "verify-paper", "--machine", "--seed", "99")
     assert code == code2 == 0
     assert out1 == out2
+
+
+# Exact output at the paper point: a change to number-field arithmetic or
+# to FieldElement.interval that moves one digit of a coordinate, trace or
+# length shows up here.
+GOLDEN_TRACE = (
+    '-8.739903579395170192558073182011 ± 0.000000000000000000000000000000\n'
+)
+GOLDEN_TRACE_RAW = (
+    '[-23792280613258965882580581053019940507905/2722258935367507707706996859454145691648, -95169122453035863530322324212079762031605/10889035741470030830827987437816582766592]\n'
+)
+GOLDEN_LENGTH_RAW = (
+    '[201527551849504074326575274691054371375171438559787/46768052394588893382517914646921056628989841375232, 201527551849504074326575274691054371375172385089171/46768052394588893382517914646921056628989841375232]\n'
+)
+GOLDEN_SOLVE = (
+    'x = 2.913301193131723397519357727337 ± 0.000000000000000000000000000000\n'
+    'y = 2.913301193131723397519357727337 ± 0.000000000000000000000000000000\n'
+    'z = 3.226794763684910260991602039210 ± 0.000000000000000000000000000000\n'
+    'certification: exact elements of a shared real number field\n'
+    'x > 2: certified\n'
+    'y > 2: certified\n'
+    'z > 2: certified\n'
+    'markov residual: exactly zero\n'
+    'verdict: Member\n'
+)
+GOLDEN_SOLVE_RAW = (
+    'x = [3965380102209827647096763508836656751315/1361129467683753853853498429727072845824, 7930760204419655294193527017673313502635/2722258935367507707706996859454145691648]\n'
+    'y = [3965380102209827647096763508836656751315/1361129467683753853853498429727072845824, 7930760204419655294193527017673313502635/2722258935367507707706996859454145691648]\n'
+    'z = [5806828589800718514613155274597039616234150819671502692067817290476290757858546327543509235696895682428772017299665854672915123768015198351809261308730576363808287/1799565517817278553124215403074392743547878847320766653240302229044735032268595148127616274441556342859968364253408358049283306422197719875603406072346065542053888, 5806828589800718514613155274597039616238208159881116557460512030276023957624003275181629348632766349054052882556198339721255760600023907694993728761579190834914847/1799565517817278553124215403074392743547878847320766653240302229044735032268595148127616274441556342859968364253408358049283306422197719875603406072346065542053888]\n'
+    'certification: exact elements of a shared real number field\n'
+    'x > 2: certified\n'
+    'y > 2: certified\n'
+    'z > 2: certified\n'
+    'markov residual: exactly zero\n'
+    'verdict: Member\n'
+)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["trace", "abAAB", "--point", "paper"], GOLDEN_TRACE),
+        (["trace", "abAAB", "--point", "paper", "--raw"], GOLDEN_TRACE_RAW),
+        (["length", "abAAB", "--point", "paper", "--raw"], GOLDEN_LENGTH_RAW),
+        (["solve"], GOLDEN_SOLVE),
+        (["solve", "--raw"], GOLDEN_SOLVE_RAW),
+    ],
+)
+def test_golden_output_at_paper_point(capsys, argv, expected):
+    assert run(capsys, *argv) == (0, expected, "")
+
+
+def test_mpmath_not_imported_by_verify_paper():
+    # mpmath serves length_of only; other commands should not pay its import
+    code = (
+        "import contextlib, io, sys\n"
+        "import frickelab, frickelab.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert frickelab.cli.main(['verify-paper', '--machine']) == 0\n"
+        "assert 'mpmath' not in sys.modules, 'mpmath imported'\n"
+    )
+    src = os.path.dirname(os.path.dirname(frickelab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
