@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .intervals import RatInterval
+from .intervals import RatInterval, _mul, _numerators
 from .poly import (
     IrreducibilityVerdict,
     IsolationError,
@@ -329,10 +329,17 @@ class FieldElement:
 
 
 def _horner_interval(coeffs, iv: RatInterval) -> RatInterval:
-    acc = RatInterval.point(0)
+    """Interval Horner acc * iv + c on integer coefficients, with acc kept
+    as integer numerators over a growing power of iv's denominator."""
+    lo, hi, d = _numerators(iv)
+    acc_lo = acc_hi = 0
+    den = 1
     for c in reversed(coeffs):
-        acc = acc * iv + RatInterval.point(c)
-    return acc
+        acc_lo, acc_hi = _mul(acc_lo, acc_hi, lo, hi)
+        den *= d
+        acc_lo += c * den
+        acc_hi += c * den
+    return RatInterval(Fraction(acc_lo, den), Fraction(acc_hi, den))
 
 
 def _qpoly_divmod(a: list[Fraction], b: list[Fraction]):

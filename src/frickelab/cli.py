@@ -264,7 +264,8 @@ def _stage_membership(cfg: RunConfig) -> tuple[bool, str]:
     cert = fricke.in_teichmuller(pt, cfg.residual_tol)
     residual_iv = fricke.markov_residual(pt).interval(cfg.eps)
     width_ok = residual_iv.width() < cfg.residual_tol
-    interval_residual = fricke.MARKOV.evaluate(*pt.coordinate_intervals(cfg.eps))
+    box = fricke.FrickePoint.from_intervals(*pt.coordinate_intervals(cfg.eps))
+    interval_residual = fricke.markov_residual(box).value
     interval_ok = interval_residual.contains_zero() and interval_residual.width() < cfg.residual_tol
     ok = cert.member and width_ok and interval_ok
     return ok, f"member: {cert.member}; residual interval width {float(interval_residual.width()):.3e}"

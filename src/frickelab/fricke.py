@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .algebraic import AlgebraicReal, FieldElement, NumberField, make_algebraic
-from .intervals import PrecisionError, RatInterval
+from .intervals import PrecisionError, RatInterval, _mul, _numerators
 from .poly import (
     UniPoly,
     irreducible_over_Q,
@@ -168,15 +168,42 @@ class EvalResult:
 
 
 def evaluate_at_point(tp: TracePoly, pt: FrickePoint, eps=Fraction(1, 2**128)) -> EvalResult:
+    """tp at the point: exact at rational and field points; at interval
+    points TracePoly.evaluate's enclosure, computed by _evaluate_box."""
     if pt.kind == "rational":
         return EvalResult("rational", tp.evaluate(*pt.coords))
     if pt.kind == "field":
         zero = pt.field.from_rational(0)
         value = zero + tp.evaluate(*pt.coords)
         return EvalResult("field", value)
-    ivs = pt.coordinate_intervals(eps)
-    value = RatInterval.point(0) + tp.evaluate(*ivs)
-    return EvalResult("interval", value)
+    return EvalResult("interval", _evaluate_box(tp, pt.coordinate_intervals(eps)))
+
+
+def _evaluate_box(tp: TracePoly, box: tuple[RatInterval, RatInterval, RatInterval]) -> RatInterval:
+    """The endpoints of tp.evaluate(*box) over RatIntervals, on integers.
+
+    Power tables are built by TracePoly.evaluate's repeated product, and
+    power i of a coordinate with denominator d is scaled by d^(top - i),
+    so every term sits over D = dx^mi * dy^mj * dz^mk.  Interval products
+    are exact ranges, hence associative, so the endpoints are the same.
+    """
+    tables, den = [], 1
+    for iv, top in zip(box, tp.max_exponents()):
+        lo, hi, d = _numerators(iv)
+        powers = [(1, 1)]
+        for _ in range(top):
+            powers.append(_mul(*powers[-1], lo, hi))
+        tables.append([(p_lo * d ** (top - i), p_hi * d ** (top - i)) for i, (p_lo, p_hi) in enumerate(powers)])
+        den *= d ** top
+    xs, ys, zs = tables
+    total_lo = total_hi = 0
+    for (i, j, k), c in tp.terms.items():
+        lo, hi = _mul(*_mul(*xs[i], *ys[j]), *zs[k])
+        if c < 0:
+            lo, hi = hi, lo
+        total_lo += c * lo
+        total_hi += c * hi
+    return RatInterval(Fraction(total_lo, den), Fraction(total_hi, den))
 
 
 def markov_residual(pt: FrickePoint, eps=Fraction(1, 2**128)) -> EvalResult:
@@ -372,8 +399,10 @@ def solve_pattern_system(precision_bits: int = 128) -> FrickePoint:
 
 def trace_of(pt: FrickePoint, w: Word, eps=Fraction(1, 2**128)) -> EvalResult:
     """tr(w) at the point: one exact pass at rational and field points;
-    at interval points the expanded polynomial is evaluated, which gives
-    tighter enclosures than interval arithmetic along the word."""
+    at interval points the expanded polynomial is evaluated on integer
+    numerators over one common denominator (see _evaluate_box), which
+    gives tighter enclosures than interval arithmetic along the word and
+    the same endpoints as TracePoly.evaluate on RatIntervals."""
     if pt.kind == "interval":
         return evaluate_at_point(trace_polynomial(w), pt, eps)
     if pt.kind == "field":
@@ -411,22 +440,19 @@ def length_of(pt: FrickePoint, w: Word, precision=Fraction(1, 2**96)) -> RatInte
     """
     precision = Fraction(precision)
     tr = trace_of(pt, w)
+    eps = precision / 16
+    iv_in = tr.interval(eps)
     try:
-        sign = _hyperbolic_sign(tr)
+        sign = _hyperbolic_sign(tr, iv_in)
     except PrecisionError as exc:
         raise NonHyperbolicError(f"trace of {w} undecidable against ±2: {exc}") from exc
     if not sign:
         raise NonHyperbolicError(
             f"trace of {w} is not certified outside [-2, 2]: parabolic or elliptic element"
         )
-
-    import mpmath  # imported here, its only use, so other commands skip its import cost
-
-    ctx = mpmath.ctx_iv.MPIntervalContext()
+    ctx = _iv_context()
     ctx.prec = _bits_needed(precision) + 32
-    eps = precision / 16
     for _ in range(12):
-        iv_in = tr.interval(eps)
         lo, hi = (iv_in.lo, iv_in.hi) if sign > 0 else (-iv_in.hi, -iv_in.lo)
         # |tr| > 2 is certified, so the enclosure may be clipped at 2; the
         # hull of the rigorous enclosures of both rational endpoints
@@ -438,7 +464,17 @@ def length_of(pt: FrickePoint, w: Word, precision=Fraction(1, 2**96)) -> RatInte
             return out
         eps /= 256
         ctx.prec += 64
+        iv_in = tr.interval(eps)
     raise NonHyperbolicError(f"length enclosure for {w} did not reach width {precision}")
+
+
+@functools.lru_cache(maxsize=None)
+def _iv_context():
+    """length_of's one mpmath interval context, made on first use: mpmath
+    is imported here, its only use, so other commands skip its import cost."""
+    import mpmath
+
+    return mpmath.ctx_iv.MPIntervalContext()
 
 
 def _bits_needed(eps: Fraction) -> int:
@@ -447,9 +483,14 @@ def _bits_needed(eps: Fraction) -> int:
     return max(64, ratio.bit_length() + 8)
 
 
-def _hyperbolic_sign(tr: EvalResult) -> int:
+def _hyperbolic_sign(tr: EvalResult, iv: RatInterval) -> int:
     """1 if tr > 2, -1 if tr < -2, 0 if |tr| <= 2; PrecisionError when an
-    interval value straddles 2 or -2."""
+    interval value straddles 2 or -2.  The enclosure iv of tr decides when
+    it clears ±2, and the exact comparisons run only when it does not."""
+    if iv.lo > 2:
+        return 1
+    if iv.hi < -2:
+        return -1
     if _coord_cmp_rational(tr.value, 2) > 0:
         return 1
     if _coord_cmp_rational(tr.value, -2) < 0:

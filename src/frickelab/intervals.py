@@ -3,10 +3,17 @@
 Endpoints are Fractions, so +, -, * and / are exactly rounded (no rounding
 at all); every operation returns an interval rigorously containing the
 true value.
+
+Polynomials are evaluated on intervals (trace polynomials at interval
+points, Horner at a number field's generator) on integer numerators over
+one positive common denominator, with one Fraction pair at the end.
+Positive scaling keeps the order of the endpoint products, so every
+min/max picks the same product and the endpoints are identical.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Union
 
@@ -124,6 +131,18 @@ class RatInterval:
 
     def __rtruediv__(self, other) -> "RatInterval":
         return RatInterval.coerce(other) * self.reciprocal()
+
+
+def _numerators(iv: RatInterval) -> tuple[int, int, int]:
+    """Endpoints of iv as integer numerators over one positive denominator."""
+    den = math.lcm(iv.lo.denominator, iv.hi.denominator)
+    return iv.lo.numerator * (den // iv.lo.denominator), iv.hi.numerator * (den // iv.hi.denominator), den
+
+
+def _mul(alo: int, ahi: int, blo: int, bhi: int) -> tuple[int, int]:
+    """Interval product on integer endpoints: min and max of the four products."""
+    products = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+    return min(products), max(products)
 
 
 def decimal_str(q: Rat, digits: int = 10) -> str:
