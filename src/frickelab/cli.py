@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import algebraic, fricke, variety
 from .intervals import PrecisionError, RatInterval, format_interval
-from .poly import UniPoly, format_poly, parse_poly, sturm_count, NEG_INF, POS_INF
+from .poly import UniPoly, format_poly, isolate_real_roots, parse_poly, sturm_count, NEG_INF, POS_INF
 from .tracering import format_tracepoly, trace_polynomial
 from .words import Word, parse_word, parse_word_list
 
@@ -234,33 +234,37 @@ def cmd_variety_thma(args, cfg: RunConfig) -> int:
 # -- the end-to-end verification pipeline ------------------------------------------
 
 
-def _stage_elimination(cfg: RunConfig) -> tuple[bool, str]:
-    q = fricke.eliminate_pattern_system()
+_CERTIFICATION_ERRORS = (PrecisionError, fricke.NonHyperbolicError, AssertionError)
+
+
+def _attempt(make, *args):
+    """make(*args), or the certification error it raised."""
+    try:
+        return make(*args)
+    except _CERTIFICATION_ERRORS as exc:
+        return exc
+
+
+def _stage_elimination(q: UniPoly, cfg: RunConfig) -> tuple[bool, str]:
     expected = UniPoly([-4, 4, 3, -4, -2, 1])
     # eliminate_pattern_system cross-checks both routes and raises AssertionError if they differ
     return q == expected, f"quintic {format_poly(q)}; elimination routes agree: True"
 
 
-def _stage_uniqueness(cfg: RunConfig) -> tuple[bool, str]:
-    q = fricke.eliminate_pattern_system()
+def _stage_uniqueness(q: UniPoly, cfg: RunConfig) -> tuple[bool, str]:
     n = sturm_count(q, NEG_INF, POS_INF)
     return n == 1, f"real root count {n}"
 
 
-def _stage_refinement(cfg: RunConfig) -> tuple[bool, str]:
-    from .algebraic import make_algebraic
-    from .poly import isolate_real_roots
-
-    q = fricke.eliminate_pattern_system()
-    root = make_algebraic(q, isolate_real_roots(q)[0]).refined(Fraction(1, 10 ** 6))
+def _stage_refinement(q: UniPoly, cfg: RunConfig) -> tuple[bool, str]:
+    root = algebraic.make_algebraic(q, isolate_real_roots(q)[0]).refined(Fraction(1, 10 ** 6))
     lo_digits = int(root.lo * 10 ** 5)
     hi_digits = int(root.hi * 10 ** 5)
     ok = lo_digits == hi_digits == 291330
     return ok, f"root in [{float(root.lo):.7f}, {float(root.hi):.7f}]"
 
 
-def _stage_membership(cfg: RunConfig) -> tuple[bool, str]:
-    pt = fricke.solve_pattern_system(cfg.precision_bits)
+def _stage_membership(pt: fricke.FrickePoint, cfg: RunConfig) -> tuple[bool, str]:
     cert = fricke.in_teichmuller(pt, cfg.residual_tol)
     residual_iv = fricke.markov_residual(pt).interval(cfg.eps)
     width_ok = residual_iv.width() < cfg.residual_tol
@@ -271,57 +275,62 @@ def _stage_membership(cfg: RunConfig) -> tuple[bool, str]:
     return ok, f"member: {cert.member}; residual interval width {float(interval_residual.width()):.3e}"
 
 
-def _stage_irreducibility(cfg: RunConfig) -> tuple[bool, str]:
-    from .poly import irreducible_over_Q
-
-    verdict = irreducible_over_Q(fricke.eliminate_pattern_system(), 200)
+def _stage_irreducibility(pt: fricke.FrickePoint, cfg: RunConfig) -> tuple[bool, str]:
+    # the witness solve_pattern_system certified before building the field
+    verdict = pt.field.irreducibility
     ok = verdict.is_irreducible()
     return ok, f"{verdict.status}" + (f" (witness {verdict.witness})" if ok else "")
 
 
-def _stage_galois(cfg: RunConfig) -> tuple[bool, str]:
-    cert = algebraic.galois_cycle_types(fricke.eliminate_pattern_system(), cfg.prime_bound)
+def _stage_galois(report: algebraic.NonArithmeticityReport, cfg: RunConfig) -> tuple[bool, str]:
+    cert = report.certificate
+    if cert is None:
+        return False, "no Galois certificate"
     return cert.is_full_symmetric(), f"conclusion {cert.conclusion}"
 
 
-def _stage_nonarithmeticity(cfg: RunConfig) -> tuple[bool, str]:
-    report = algebraic.non_arithmeticity_report(fricke.eliminate_pattern_system(), cfg.prime_bound)
+def _stage_nonarithmeticity(report: algebraic.NonArithmeticityReport, cfg: RunConfig) -> tuple[bool, str]:
     return report.verdict == "NonArithmeticCertified", f"verdict {report.verdict}"
 
 
-def _stage_trace_identity(cfg: RunConfig) -> tuple[bool, str]:
+def _stage_trace_identity(_, cfg: RunConfig) -> tuple[bool, str]:
     report = variety.trace_identity_suite(200, 10, cfg.seed)
     return report.passed(), f"{report.samples} samples, failures {len(report.failures)}"
 
 
-def _stage_patterns(cfg: RunConfig) -> tuple[bool, str]:
-    pt = fricke.solve_pattern_system(cfg.precision_bits)
+def _stage_patterns(pt: fricke.FrickePoint, cfg: RunConfig) -> tuple[bool, str]:
     first = variety.pattern_member(parse_word("a"), parse_word("b"), pt)
     second = variety.pattern_member(parse_word("aa"), parse_word("aab"), pt)
     ok = first == variety.IN and second == variety.IN
     return ok, f"(a, b): {first}; (aa, aab): {second}"
 
 
+# (stage, the artifact it checks, check)
 _STAGES = (
-    ("elimination", _stage_elimination),
-    ("uniqueness", _stage_uniqueness),
-    ("refinement", _stage_refinement),
-    ("membership", _stage_membership),
-    ("irreducibility", _stage_irreducibility),
-    ("galois", _stage_galois),
-    ("nonarithmeticity", _stage_nonarithmeticity),
-    ("trace-identity", _stage_trace_identity),
-    ("patterns", _stage_patterns),
+    ("elimination", "quintic", _stage_elimination),
+    ("uniqueness", "quintic", _stage_uniqueness),
+    ("refinement", "quintic", _stage_refinement),
+    ("membership", "point", _stage_membership),
+    ("irreducibility", "point", _stage_irreducibility),
+    ("galois", "report", _stage_galois),
+    ("nonarithmeticity", "report", _stage_nonarithmeticity),
+    ("trace-identity", None, _stage_trace_identity),
+    ("patterns", "point", _stage_patterns),
 )
 
 
 def cmd_verify_paper(args, cfg: RunConfig) -> int:
+    q = _attempt(fricke.eliminate_pattern_system)
+    artifacts = {
+        "quintic": q,
+        "point": _attempt(fricke.solve_pattern_system, cfg.precision_bits),
+        "report": q if isinstance(q, Exception) else _attempt(algebraic.non_arithmeticity_report, q, cfg.prime_bound),
+    }
     all_ok = True
-    for name, runner in _STAGES:
-        try:
-            ok, detail = runner(cfg)
-        except (PrecisionError, fricke.NonHyperbolicError, AssertionError) as exc:
-            ok, detail = False, f"certification error: {exc}"
+    for name, needs, check in _STAGES:
+        artifact = artifacts.get(needs)
+        result = artifact if isinstance(artifact, Exception) else _attempt(check, artifact, cfg)
+        ok, detail = (False, f"certification error: {result}") if isinstance(result, Exception) else result
         all_ok = all_ok and ok
         if cfg.machine:
             print(f"{name}: {'pass' if ok else 'fail'}")

@@ -15,6 +15,7 @@ tr(w) = 2 c0 + X c1 + Y c2 + Z c3; trace_polynomial runs it over TracePoly.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable
 
 from .words import Word
@@ -150,34 +151,43 @@ def tp_evaluate(p: TracePoly, x, y, z):
 # -- text format ------------------------------------------------------------
 
 
-def _term_order(m: Monomial):
-    # graded lexicographic with X > Y > Z, largest first
-    return (-sum(m), tuple(-e for e in m))
-
-
-def format_tracepoly(p: TracePoly) -> str:
-    if p.is_zero():
+def _format_signed_terms(terms: dict, names) -> str:
+    """Terms largest first (graded lexicographic, earlier variables larger),
+    each as |coefficient|*factors, joined by their signs: `-X*Y + Z - 2`."""
+    if not terms:
         return "0"
     parts = []
-    for m, c in sorted(p.terms.items(), key=lambda item: _term_order(item[0])):
-        factors = [
-            (name if e == 1 else f"{name}^{e}")
-            for name, e in zip("XYZ", m)
-            if e > 0
-        ]
+    for m, c in sorted(terms.items(), key=lambda item: (-sum(item[0]), tuple(-e for e in item[0]))):
+        factors = [(name if e == 1 else f"{name}^{e}") for name, e in zip(names, m) if e > 0]
         if not factors:
             body = str(abs(c))
         elif abs(c) == 1:
             body = "*".join(factors)
         else:
             body = "*".join([str(abs(c))] + factors)
-        sign = "-" if c < 0 else "+"
-        parts.append((sign, body))
-    first_sign, first_body = parts[0]
-    text = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
+        parts.append(("-" if c < 0 else "+", body))
+    text = ("-" if parts[0][0] == "-" else "") + parts[0][1]
+    return text + "".join(f" {sign} {body}" for sign, body in parts[1:])
+
+
+def _split_signed_terms(text: str) -> list[tuple[int, str]]:
+    """(sign, term) pairs of `t1 + t2 - t3`: an optional leading sign, then
+    exactly one sign between consecutive terms."""
+    pieces = re.split(r"([+-])", text)
+    if pieces[0].strip():
+        pieces.insert(0, "+")
+    else:
+        del pieces[0]
+    terms = []
+    for sign, term in zip(pieces[::2], pieces[1::2]):
+        if not term.strip():
+            raise ValueError(f"sign without a term in {text!r}")
+        terms.append((-1 if sign == "-" else 1, term.strip()))
+    return terms
+
+
+def format_tracepoly(p: TracePoly) -> str:
+    return _format_signed_terms(p.terms, "XYZ")
 
 
 def parse_tracepoly(text: str) -> TracePoly:
@@ -185,22 +195,7 @@ def parse_tracepoly(text: str) -> TracePoly:
     text = text.strip()
     if not text:
         raise ValueError("empty trace polynomial text")
-    if text == "0":
-        return TracePoly()
-    # normalize to +/- separated terms
-    chunks: list[tuple[int, str]] = []
-    sign = 1
-    token = ""
-    for ch in text:
-        if ch in "+-":
-            if token.strip():
-                chunks.append((sign, token.strip()))
-            sign = 1 if ch == "+" else -1
-            token = ""
-        else:
-            token += ch
-    if token.strip():
-        chunks.append((sign, token.strip()))
+    chunks = _split_signed_terms(text)
     out = TracePoly()
     for sgn, chunk in chunks:
         coeff = sgn

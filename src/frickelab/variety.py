@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .algebraic import SalemVerdict, _horner_interval, is_geometric_salem
 from .fricke import EvalResult, FrickePoint, evaluate_at_point, trace_of
 from .poly import UniPoly, format_poly
-from .tracering import TracePoly, trace_polynomial
+from .tracering import TracePoly, _format_signed_terms, _split_signed_terms, trace_polynomial
 from .words import Word, concat
 
 Exponents = tuple[int, ...]
@@ -79,27 +79,7 @@ PATTERN_POLYNOMIAL = VarietyPolynomial(2, {(1, 0): Fraction(1), (0, 1): Fraction
 
 
 def format_variety_poly(F: VarietyPolynomial) -> str:
-    if not F.terms:
-        return "0"
-    parts = []
-    for m, c in sorted(F.terms.items(), key=lambda item: (-sum(item[0]), tuple(-e for e in item[0]))):
-        factors = [
-            (f"X{i + 1}" if e == 1 else f"X{i + 1}^{e}")
-            for i, e in enumerate(m)
-            if e > 0
-        ]
-        mag = abs(c)
-        if not factors:
-            body = str(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([str(mag)] + factors)
-        parts.append(("-" if c < 0 else "+", body))
-    text = ("-" if parts[0][0] == "-" else "") + parts[0][1]
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
+    return _format_signed_terms(F.terms, [f"X{i + 1}" for i in range(F.arity)])
 
 
 _VAR_RE = re.compile(r"^X(\d+)(?:\^(\d+))?$")
@@ -110,20 +90,7 @@ def parse_variety_poly(text: str, arity: Optional[int] = None) -> VarietyPolynom
     text = text.strip()
     if not text:
         raise ValueError("empty variety polynomial text")
-    chunks: list[tuple[int, str]] = []
-    sign, token = 1, ""
-    for ch in text:
-        if ch in "+-":
-            if token.strip():
-                chunks.append((sign, token.strip()))
-            elif chunks:
-                raise ValueError(f"dangling sign in {text!r}")
-            sign = 1 if ch == "+" else -1
-            token = ""
-        else:
-            token += ch
-    if token.strip():
-        chunks.append((sign, token.strip()))
+    chunks = _split_signed_terms(text)
     raw_terms: list[tuple[dict[int, int], Fraction]] = []
     top = 0
     for sgn, chunk in chunks:

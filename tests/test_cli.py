@@ -5,7 +5,9 @@ import sys
 import pytest
 
 import frickelab
+from frickelab import algebraic, fricke
 from frickelab.cli import main
+from frickelab.poly import UniPoly
 
 
 def run(capsys, *argv):
@@ -108,6 +110,8 @@ def test_variety_check(capsys):
         capsys, "variety", "check", "--poly", "X1*X2 - X3 - X4", "--words", "a,b,ab,aB", "--point", "3,4,5"
     )
     assert (code, out.strip()) == (0, "verdict: In")
+    code, _, err = run(capsys, "variety", "check", "--poly=--X1", "--words", "a", "--point", "3,4,5")
+    assert code == 2 and "sign without a term" in err
 
 
 def test_variety_identity_suite(capsys):
@@ -143,6 +147,96 @@ def test_verify_paper_machine_mode_and_stability(capsys):
     assert len(lines) == 9
     assert all(line.endswith(": pass") for line in lines)
     assert lines[0] == "elimination: pass"
+
+
+GOLDEN_VERIFY_PAPER = (
+    "[PASS] elimination: quintic poly: -4 4 3 -4 -2 1; elimination routes agree: True\n"
+    "[PASS] uniqueness: real root count 1\n"
+    "[PASS] refinement: root in [2.9133010, 2.9133016]\n"
+    "[PASS] membership: member: True; residual interval width 8.962e-38\n"
+    "[PASS] irreducibility: irreducible (witness 5)\n"
+    "[PASS] galois: conclusion FullSymmetric(5)\n"
+    "[PASS] nonarithmeticity: verdict NonArithmeticCertified\n"
+    "[PASS] trace-identity: 200 samples, failures 0\n"
+    "[PASS] patterns: (a, b): In; (aa, aab): In\n"
+    "all stages passed\n"
+)
+
+
+def test_verify_paper_golden_report(capsys):
+    assert run(capsys, "verify-paper") == (0, GOLDEN_VERIFY_PAPER, "")
+
+
+STAGES = (
+    "elimination", "uniqueness", "refinement", "membership", "irreducibility",
+    "galois", "nonarithmeticity", "trace-identity", "patterns",
+)
+
+
+def _verify_paper_patched(capsys, monkeypatch, module, name, replacement):
+    """Exit code and {stage: detail} of each [FAIL] line of a plain
+    verify-paper run with module.name replaced; the solved point is not
+    cached across the run."""
+    fricke.solve_pattern_system.cache_clear()
+    with monkeypatch.context() as m:
+        m.setattr(module, name, replacement)
+        code, out, _ = run(capsys, "verify-paper")
+    fricke.solve_pattern_system.cache_clear()
+    failed = [line[len("[FAIL] "):].split(": ", 1) for line in out.splitlines() if line.startswith("[FAIL] ")]
+    return code, dict(failed)
+
+
+def test_verify_paper_isolates_failed_artifacts(capsys, monkeypatch):
+    # a stage fails when an artifact it reads cannot be certified; the rest still run
+    def no_galois(*args, **kwargs):
+        raise AssertionError("no galois certificate")
+
+    assert _verify_paper_patched(capsys, monkeypatch, algebraic, "galois_cycle_types", no_galois) == (
+        1,
+        dict.fromkeys(("galois", "nonarithmeticity"), "certification error: no galois certificate"),
+    )
+    silent = lambda p, bound: algebraic.NonArithmeticityReport((), "Silent")
+    assert _verify_paper_patched(capsys, monkeypatch, algebraic, "non_arithmeticity_report", silent) == (
+        1,
+        {"galois": "no Galois certificate", "nonarithmeticity": "verdict Silent"},
+    )
+    disagree = lambda: UniPoly([1, 1])
+    assert _verify_paper_patched(capsys, monkeypatch, fricke, "eliminate_by_resultants", disagree) == (
+        1,
+        dict.fromkeys(
+            (s for s in STAGES if s != "trace-identity"), "certification error: elimination routes disagree"
+        ),
+    )
+
+
+def test_verify_paper_derives_each_artifact_once(capsys, monkeypatch):
+    targets = {
+        "galois_cycle_types": algebraic.galois_cycle_types,
+        "irreducible_over_Q": frickelab.poly.irreducible_over_Q,
+        "eliminate_pattern_system": fricke.eliminate_pattern_system,
+        "factor_mod_p": frickelab.poly.factor_mod_p,
+    }
+    calls = dict.fromkeys(targets, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    wrappers = {id(fn): counting(name, fn) for name, fn in targets.items()}
+    modules = [mod for name, mod in sys.modules.items() if name == "frickelab" or name.startswith("frickelab.")]
+    for mod in modules:
+        for attr, obj in list(vars(mod).items()):
+            if id(obj) in wrappers:
+                monkeypatch.setattr(mod, attr, wrappers[id(obj)])
+    fricke.solve_pattern_system.cache_clear()
+    code, _, _ = run(capsys, "verify-paper", "--machine")
+    assert code == 0
+    assert calls["galois_cycle_types"] == 1
+    assert calls["irreducible_over_Q"] == 1
+    assert calls["eliminate_pattern_system"] <= 2
+    assert calls["factor_mod_p"] <= 96
 
 
 def test_verify_paper_starved_prime_bound(capsys):

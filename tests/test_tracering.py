@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from frickelab.tracering import (
     TracePoly,
     clear_trace_memo,
@@ -113,3 +115,9 @@ def test_format_and_parse():
     assert format_tracepoly(TracePoly()) == "0"
     for text in ("X^2 - 2", "X*Z - Y", "-X*Y*Z + X^2 + Y^2 + Z^2 - 2", "0", "3*X^2*Y - 4"):
         assert format_tracepoly(parse_tracepoly(text)) == text
+
+
+@pytest.mark.parametrize("text", ["X - -Y", "X -+ Y", "--X", "X +", "-"])
+def test_parse_rejects_doubled_or_dangling_signs(text):
+    with pytest.raises(ValueError):
+        parse_tracepoly(text)

@@ -192,5 +192,6 @@ def test_variety_poly_text():
     assert G.terms[(2, 0)] == 2 and G.terms[(0, 1)] == Fraction(-3, 2)
     with pytest.raises(ValueError):
         parse_variety_poly("X1 - X5", arity=2)
-    with pytest.raises(ValueError):
-        parse_variety_poly("")
+    for text in ("", "--X1", "X1 - -X2", "X1 -+ X2", "X1 -"):
+        with pytest.raises(ValueError):
+            parse_variety_poly(text)
