@@ -21,6 +21,8 @@ from .poly import (
     IsolationError,
     UniPoly,
     _is_small_prime,
+    _power,
+    _qpoly_divmod,
     _square_free_count,
     _sturm_counts,
     discriminant,
@@ -283,14 +285,7 @@ class FieldElement:
     def __pow__(self, n: int) -> "FieldElement":
         if n < 0:
             return self.inverse() ** (-n)
-        out = self.field.from_rational(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, self.field.from_rational(1))
 
     def interval(self, eps) -> RatInterval:
         """Enclosure of width < eps, refining the field generator as needed.
@@ -340,24 +335,6 @@ def _horner_interval(coeffs, iv: RatInterval) -> RatInterval:
         acc_lo += c * den
         acc_hi += c * den
     return RatInterval(Fraction(acc_lo, den), Fraction(acc_hi, den))
-
-
-def _qpoly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = a[:]
-    while a and a[-1] == 0:
-        a.pop()
-    db = len(b) - 1
-    q = [Fraction(0)] * max(len(a) - db, 1)
-    while len(a) - 1 >= db and any(a):
-        c = a[-1] / b[-1]
-        k = len(a) - 1 - db
-        q[k] = c
-        for i in range(db + 1):
-            a[i + k] -= c * b[i]
-        a.pop()
-        while a and a[-1] == 0:
-            a.pop()
-    return q, a
 
 
 # -- Salem verdicts --------------------------------------------------------------
@@ -424,15 +401,20 @@ def is_geometric_salem(p: UniPoly, prime_bound: int = 500) -> SalemVerdict:
     )
 
 
+def _t2p1_powers(d: int) -> list[UniPoly]:
+    """(t^2 + 1)^i for i = 0..d: t^d (t + 1/t)^i is power i shifted by d - i."""
+    t2p1, powers = UniPoly([1, 0, 1]), [UniPoly([1])]
+    for _ in range(d):
+        powers.append(powers[-1] * t2p1)
+    return powers
+
+
 def salem_transform(p: UniPoly) -> UniPoly:
     """Expansion of t^d * p(t + 1/t): degree doubles and the result is palindromic."""
     if p.is_zero():
         raise ValueError("transform of the zero polynomial")
     d = p.degree()
-    t2p1 = UniPoly([1, 0, 1])  # t^2 + 1
-    powers = [UniPoly([1])]
-    for _ in range(d):
-        powers.append(powers[-1] * t2p1)
+    powers = _t2p1_powers(d)
     out = UniPoly()
     for i, c in enumerate(p.coeffs):
         if c:
@@ -448,10 +430,7 @@ def salem_inverse_transform(q: UniPoly) -> UniPoly:
         raise ValueError("inverse transform needs a palindromic polynomial")
     m = q.degree() // 2
     rem = list(q.coeffs)
-    t2p1 = UniPoly([1, 0, 1])
-    powers = [UniPoly([1])]
-    for _ in range(m):
-        powers.append(powers[-1] * t2p1)
+    powers = _t2p1_powers(m)
     h = [0] * (m + 1)
     for j in range(m, -1, -1):
         c = rem[m + j]

@@ -91,8 +91,12 @@ def render_interval(iv: RatInterval, cfg: RunConfig) -> str:
 def cmd_trace(args, cfg: RunConfig) -> int:
     words: list[Word] = []
     if args.words_file:
-        with open(args.words_file) as fh:
-            words.extend(parse_word_list(fh.read()))
+        try:
+            with open(args.words_file) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise UsageError(f"cannot read --words-file {args.words_file}: {exc.strerror or exc}")
+        words.extend(parse_word_list(text))
     if args.word:
         words.append(parse_word(args.word))
     if not words:
@@ -158,14 +162,12 @@ def cmd_galois(args, cfg: RunConfig) -> int:
 
 
 def cmd_salem(args, cfg: RunConfig) -> int:
-    verdict = algebraic.is_salem(_poly_from_args(args.poly))
-    print(f"reason: {verdict.reason}")
-    print(f"verdict: {verdict.status}")
-    return 0
-
-
-def cmd_geosalem(args, cfg: RunConfig) -> int:
-    verdict = algebraic.is_geometric_salem(_poly_from_args(args.poly), cfg.prime_bound)
+    """`salem` and `geosalem`: the Salem or the geometric-Salem verdict."""
+    p = _poly_from_args(args.poly)
+    if args.command == "salem":
+        verdict = algebraic.is_salem(p)
+    else:
+        verdict = algebraic.is_geometric_salem(p, cfg.prime_bound)
     print(f"reason: {verdict.reason}")
     print(f"verdict: {verdict.status}")
     return 0
@@ -192,6 +194,10 @@ def cmd_variety_check(args, cfg: RunConfig) -> int:
 
 
 def cmd_variety_suite(args, cfg: RunConfig) -> int:
+    if args.n < 1:
+        raise UsageError(f"--n must be at least 1, got {args.n}")
+    if args.maxlen < 0:
+        raise UsageError(f"--maxlen must be at least 0, got {args.maxlen}")
     poly = variety.parse_variety_poly(args.poly, arity=4) if args.poly else None
     report = variety.trace_identity_suite(args.n, args.maxlen, cfg.seed, poly)
     print(report.to_text())
@@ -378,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, func, description in (
         ("galois", cmd_galois, "Dedekind cycle-type sampling and symmetric-group certification"),
         ("salem", cmd_salem, "Salem certification of a reciprocal polynomial"),
-        ("geosalem", cmd_geosalem, "geometric-Salem certification"),
+        ("geosalem", cmd_salem, "geometric-Salem certification"),
         ("salem-transform", cmd_salem_transform, "expand t^d p(t + 1/t)"),
         ("nonarith", cmd_nonarith, "solvability obstruction report for a trace minimal polynomial"),
     ):

@@ -19,6 +19,7 @@ from .algebraic import AlgebraicReal, FieldElement, NumberField, make_algebraic
 from .intervals import PrecisionError, RatInterval, _mul, _numerators
 from .poly import (
     UniPoly,
+    _sylvester_rows,
     irreducible_over_Q,
     isolate_real_roots,
     sturm_count,
@@ -321,16 +322,9 @@ def _tp_resultant(p: TracePoly, q: TracePoly, var: int) -> TracePoly:
     """
     pc = list(reversed(_tp_as_poly_in(p, var)))
     qc = list(reversed(_tp_as_poly_in(q, var)))
-    dp, dq = len(pc) - 1, len(qc) - 1
-    if dp < 1 or dq < 1:
+    if len(pc) < 2 or len(qc) < 2:
         raise ValueError("resultant needs both polynomials to contain the variable")
-    zero = TracePoly()
-    rows = []
-    for i in range(dq):
-        rows.append([zero] * i + pc + [zero] * (dq - 1 - i))
-    for i in range(dp):
-        rows.append([zero] * i + qc + [zero] * (dp - 1 - i))
-    return _tp_det(rows)
+    return _tp_det(_sylvester_rows(pc, qc, TracePoly()))
 
 
 def _tp_det(mat: list[list[TracePoly]]) -> TracePoly:

@@ -17,6 +17,8 @@ import math
 from fractions import Fraction
 from typing import Union
 
+from .poly import _power
+
 Rat = Union[int, Fraction]
 
 
@@ -112,14 +114,7 @@ class RatInterval:
     def __pow__(self, n: int) -> "RatInterval":
         if not isinstance(n, int) or n < 0:
             raise ValueError("interval powers take nonnegative integer exponents")
-        out = RatInterval.point(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, RatInterval.point(1))
 
     def reciprocal(self) -> "RatInterval":
         if self.contains_zero():

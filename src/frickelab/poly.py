@@ -8,6 +8,7 @@ factor-degree patterns mod p, and witness-based irreducibility.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -101,14 +102,7 @@ class UniPoly:
     def __pow__(self, n: int) -> "UniPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = UniPoly([1])
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, UniPoly([1]))
 
     def scale(self, k: int) -> "UniPoly":
         return UniPoly(k * c for c in self.coeffs)
@@ -144,12 +138,7 @@ class UniPoly:
 
     def content(self) -> int:
         """Positive gcd of the coefficients; 0 for the zero polynomial."""
-        import math
-
-        g = 0
-        for c in self.coeffs:
-            g = math.gcd(g, c)
-        return g
+        return math.gcd(*self.coeffs)
 
     def primitive_part(self) -> "UniPoly":
         """Content removed, sign of the leading coefficient made positive."""
@@ -161,12 +150,25 @@ class UniPoly:
         return UniPoly(c // g for c in self.coeffs)
 
 
-def X_poly() -> UniPoly:
-    return UniPoly([0, 1])
-
-
 def constant(c: int) -> UniPoly:
     return UniPoly([c])
+
+
+def _power(base, n: int, one):
+    """base ** n for n >= 0 by square-and-multiply, starting from one.
+
+    Needs only an associative *, so it serves words, polynomials, intervals
+    and field elements alike: n.bit_length() - 1 squarings and one product
+    per set bit of n, with no squaring after the top bit.
+    """
+    out = one
+    while True:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if not n:
+            return out
+        base = base * base
 
 
 # -- division -------------------------------------------------------------
@@ -190,23 +192,30 @@ def _prem(f: UniPoly, g: UniPoly) -> UniPoly:
     return UniPoly(r[:dg])
 
 
+def _qpoly_divmod(a, b) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder (deg b slots) of ascending coefficient lists
+    over Q, b with a nonzero top coefficient, in one top-down pass."""
+    num = [Fraction(c) for c in a]
+    db = len(b) - 1
+    lb = b[-1]
+    quo = [Fraction(0)] * max(len(num) - db, 0)
+    for k in range(len(num) - 1, db - 1, -1):
+        c = num[k] / lb
+        quo[k - db] = c
+        if c:
+            for i in range(db):
+                num[i + k - db] -= c * b[i]
+    return quo, num[:db]
+
+
 def exact_div(p: UniPoly, q: UniPoly) -> UniPoly:
     """Exact quotient p/q; raises if the division has a remainder or leaves Z[x]."""
     if q.is_zero():
         raise ValueError("division by zero polynomial")
-    num = [Fraction(c) for c in p.coeffs]
-    out = [Fraction(0)] * max(len(num) - len(q.coeffs) + 1, 0)
-    dq = q.degree()
-    lq = Fraction(q.lc())
-    for k in range(len(num) - 1, dq - 1, -1):
-        c = num[k] / lq
-        out[k - dq] = c
-        if c:
-            for i in range(dq + 1):
-                num[i + k - dq] -= c * q.coeffs[i]
-    if any(num):
+    quo, rem = _qpoly_divmod(p.coeffs, q.coeffs)
+    if any(rem):
         raise ValueError("inexact polynomial division")
-    return UniPoly(out)
+    return UniPoly(quo)
 
 
 def gcd(p: UniPoly, q: UniPoly) -> UniPoly:
@@ -262,16 +271,18 @@ def _bareiss_det(mat: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def _sylvester_rows(pc: list, qc: list, zero) -> list[list]:
+    """Sylvester matrix of two polynomials given by descending coefficient
+    lists over any ring with the given zero: deg q shifted rows of p, then
+    deg p shifted rows of q."""
+    dp, dq = len(pc) - 1, len(qc) - 1
+    return [[zero] * i + pc + [zero] * (dq - 1 - i) for i in range(dq)] + [
+        [zero] * i + qc + [zero] * (dp - 1 - i) for i in range(dp)
+    ]
+
+
 def sylvester_matrix(p: UniPoly, q: UniPoly) -> list[list[int]]:
-    dp, dq = p.degree(), q.degree()
-    pc = list(reversed(p.coeffs))
-    qc = list(reversed(q.coeffs))
-    rows = []
-    for i in range(dq):
-        rows.append([0] * i + pc + [0] * (dq - 1 - i))
-    for i in range(dp):
-        rows.append([0] * i + qc + [0] * (dp - 1 - i))
-    return rows
+    return _sylvester_rows(list(reversed(p.coeffs)), list(reversed(q.coeffs)), 0)
 
 
 def resultant(p: UniPoly, q: UniPoly) -> int:
@@ -559,6 +570,18 @@ def _unpack(v: int, w: int, n: int, p: int) -> list[int]:
     return out
 
 
+class _Residue:
+    """A packed residue whose * is the given mulmod, so _power can raise it."""
+
+    __slots__ = ("v", "mulmod")
+
+    def __init__(self, v: int, mulmod):
+        self.v, self.mulmod = v, mulmod
+
+    def __mul__(self, other: "_Residue") -> "_Residue":
+        return _Residue(self.mulmod(self.v, other.v), self.mulmod)
+
+
 def _gf_ddf_degrees(f: list[int], p: int) -> list[int]:
     """Degrees of the irreducible factors of monic square-free f over F_p.
 
@@ -592,12 +615,7 @@ def _gf_ddf_degrees(f: list[int], p: int) -> list[int]:
             v >>= w
         return _pack(_unpack(acc, w, n, p), w)
 
-    xp, base, e = 1, 1 << w, p
-    while e:
-        if e & 1:
-            xp = mulmod(xp, base)
-        base = mulmod(base, base)
-        e >>= 1
+    xp = _power(_Residue(1 << w, mulmod), p, _Residue(1, mulmod)).v
     rows = [1, xp]
     while len(rows) < n:
         rows.append(mulmod(rows[-1], xp))

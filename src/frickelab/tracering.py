@@ -15,9 +15,11 @@ tr(w) = 2 c0 + X c1 + Y c2 + Z c3; trace_polynomial runs it over TracePoly.
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Iterable
 
+from .poly import _power
 from .words import Word
 
 Monomial = tuple[int, int, int]  # exponents of X, Y, Z
@@ -90,28 +92,13 @@ class TracePoly:
                 out[m] = out.get(m, 0) + c1 * c2
         return TracePoly(out)
 
-    def scale(self, k: int) -> "TracePoly":
-        return TracePoly({m: k * c for m, c in self.terms.items()})
-
     def __pow__(self, n: int) -> "TracePoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = TracePoly.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, TracePoly.constant(1))
 
     def content(self) -> int:
-        import math
-
-        g = 0
-        for c in self.terms.values():
-            g = math.gcd(g, c)
-        return g
+        return math.gcd(*self.terms.values())
 
     def max_exponents(self) -> Monomial:
         if not self.terms:

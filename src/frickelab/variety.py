@@ -59,9 +59,7 @@ class VarietyPolynomial:
 
     def clear_denominators(self) -> tuple[dict[Exponents, int], int]:
         """Integer coefficient map and the positive common denominator."""
-        den = 1
-        for c in self.terms.values():
-            den = den * c.denominator // math.gcd(den, c.denominator)
+        den = math.lcm(*(c.denominator for c in self.terms.values()))
         return {m: int(c * den) for m, c in self.terms.items()}, den
 
 
@@ -329,8 +327,13 @@ def trace_identity_suite(
     (u, v, uv, uv^-1) for seeded random word pairs.
 
     Passing an adversarial polynomial turns this into a negative control:
-    a non-identity must produce counterexamples.
+    a non-identity must produce counterexamples.  Raises ValueError for
+    sample_count < 1 or max_len < 0, so an empty suite never passes.
     """
+    if sample_count < 1:
+        raise ValueError(f"sample_count must be at least 1, got {sample_count}")
+    if max_len < 0:
+        raise ValueError(f"max_len must be at least 0, got {max_len}")
     F = polynomial if polynomial is not None else FUNDAMENTAL_IDENTITY
     rng = random.Random(seed)
     failures = []

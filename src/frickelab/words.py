@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
+from .poly import _power
+
 
 class WordParseError(ValueError):
     """Raised on malformed word text; carries the offending position."""
@@ -59,12 +61,15 @@ class Word:
         return invert(self)
 
     def __pow__(self, n: int) -> "Word":
+        """The reduced word for self^n; negative n powers the inverse.
+
+        Square-and-multiply over concatenation with free reduction: the
+        time is linear in the output length, plus the length of self for
+        each of the log2(n) squarings when self cancels at the seams.
+        """
         if n < 0:
             return invert(self) ** (-n)
-        out = Word()
-        for _ in range(n):
-            out = concat(out, self)
-        return out
+        return _power(self, n, IDENTITY)
 
     def is_identity(self) -> bool:
         return not self.letters

@@ -126,6 +126,20 @@ def test_variety_identity_suite(capsys):
     assert "verdict: Fail" in out
 
 
+@pytest.mark.parametrize("flag, value", [("--n", "-3"), ("--n", "0"), ("--maxlen", "-1")])
+def test_variety_identity_suite_rejects_empty_runs(capsys, flag, value):
+    code, out, err = run(capsys, "variety", "identity-suite", flag, value)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage error: {flag} must be at least")
+
+
+def test_trace_missing_words_file(capsys, tmp_path):
+    missing = tmp_path / "no-such-file.txt"
+    code, out, err = run(capsys, "trace", "a", "--words-file", str(missing))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage error: cannot read --words-file {missing}")
+
+
 def test_variety_thma(capsys):
     code, out, _ = run(
         capsys, "variety", "thmA", "--gens", "a", "--minpoly", "{1}:poly: -3 1", "--point", "3,3,3"

@@ -177,6 +177,15 @@ def test_identity_suite():
     assert "verdict: Fail" in broken.to_text()
 
 
+def test_identity_suite_rejects_empty_runs():
+    with pytest.raises(ValueError, match="sample_count"):
+        trace_identity_suite(0, 5)
+    with pytest.raises(ValueError, match="sample_count"):
+        trace_identity_suite(-3, 5)
+    with pytest.raises(ValueError, match="max_len"):
+        trace_identity_suite(10, -1)
+
+
 def test_identity_suite_reproducible():
     r1 = trace_identity_suite(50, 8, seed=7)
     r2 = trace_identity_suite(50, 8, seed=7)
