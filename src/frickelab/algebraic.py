@@ -572,6 +572,8 @@ def non_arithmeticity_report(p: UniPoly, prime_bound: int = 500) -> NonArithmeti
     rules that out.
     """
     deg = p.degree()
+    if deg < 1:
+        raise ValueError("non-arithmeticity report needs a nonconstant polynomial")
     lines = [f"minimal polynomial: {format_poly(p)}", f"degree: {deg}"]
     if deg == 1:
         lines.append("conclusion: rational trace; test silent")

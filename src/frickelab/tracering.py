@@ -10,7 +10,25 @@ word is a combination c0 + c1 A + c2 B + c3 AB, by the identities
 (Cayley-Hamilton and its polarization), with A^-1 = X - A and
 B^-1 = Y - B for the inverse letters.  trace_in multiplies the word out
 in this basis in one left-to-right pass and returns
-tr(w) = 2 c0 + X c1 + Y c2 + Z c3; trace_polynomial runs it over TracePoly.
+tr(w) = 2 c0 + X c1 + Y c2 + Z c3.
+
+trace_polynomial runs trace_in over a packed image of Z[X, Y, Z].  An
+element is a dict from one int key i | j << kbits, for the monomial
+X^i Y^j, to one int: that monomial's polynomial in Z evaluated at 2^s.
+Multiplying by X or Y adds to the keys, by Z shifts the values by s
+bits, and by Z - XY is one such shift plus one keyed subtraction.
+Z -> 2^s is a ring homomorphism, so the pass computes the image of
+tr(w), and a value that cancels to zero is zero in the image ring too.
+The image is decoded once, by reading balanced s-bit digits.
+
+That decoding is exact when 2^(s-1) exceeds every coefficient of tr(w),
+so s comes from the bound ||tr w||_1 <= 2 * 5^n_a * 2^n_b, where n_a
+and n_b count the letters a, A and b, B.  Proof: let N be the sum of the
+l1 norms of c0, c1, c2, c3, and note ||X|| = ||Y|| = ||Z|| = 1 and
+||Z - XY|| = 2.  In the update for a, the old c0, c1, c2, c3 enter the
+new ones with total weights 1, 2, 5, 3, so N grows at most 5-fold; for A
+the weights are 2, 1, 4, 4, for b 1, 1, 2, 2 and for B 2, 2, 1, 1.  N
+starts at 1, and 2 c0 + X c1 + Y c2 + Z c3 at most doubles it.
 """
 
 from __future__ import annotations
@@ -25,10 +43,52 @@ from .words import Word
 Monomial = tuple[int, int, int]  # exponents of X, Y, Z
 
 
-class TracePoly:
-    """Sparse integer polynomial in the trace coordinates X, Y, Z."""
+class _Sparse:
+    """A dict of nonzero int values, with sums and negation.  TracePoly adds
+    products; trace_polynomial runs on it with packed keys and values."""
 
     __slots__ = ("terms",)
+
+    @classmethod
+    def _trusted(cls, terms: dict):
+        """Wrap terms as they are: a fresh dict with no zero value."""
+        p = object.__new__(cls)
+        p.terms = terms
+        return p
+
+    def __add__(self, other):
+        a, b = self.terms, other.terms
+        if len(a) < len(b):
+            a, b = b, a
+        return self._trusted(_accumulate(dict(a), b.items(), 1))
+
+    def __sub__(self, other):
+        a, b = self.terms, other.terms
+        if len(a) < len(b):
+            return self._trusted(_accumulate({k: -v for k, v in b.items()}, a.items(), 1))
+        return self._trusted(_accumulate(dict(a), b.items(), -1))
+
+    def __neg__(self):
+        return self._trusted({k: -v for k, v in self.terms.items()})
+
+
+def _accumulate(out: dict, items, sign: int) -> dict:
+    """out += sign * the (key, value) items, in place, dropping the keys
+    that cancel."""
+    get = out.get
+    for k, v in items:
+        v = get(k, 0) + v if sign > 0 else get(k, 0) - v
+        if v:
+            out[k] = v
+        else:
+            del out[k]
+    return out
+
+
+class TracePoly(_Sparse):
+    """Sparse integer polynomial in the trace coordinates X, Y, Z."""
+
+    __slots__ = ()
 
     def __init__(self, terms: dict[Monomial, int] | Iterable[tuple[Monomial, int]] = ()):
         d = dict(terms)
@@ -66,31 +126,19 @@ class TracePoly:
 
     # -- arithmetic -------------------------------------------------------
 
-    def __add__(self, other: "TracePoly") -> "TracePoly":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return TracePoly(out)
-
-    def __neg__(self) -> "TracePoly":
-        return TracePoly({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "TracePoly") -> "TracePoly":
-        return self + (-other)
-
     def __mul__(self, other: "TracePoly") -> "TracePoly":
         if len(self.terms) == 1:
             self, other = other, self
         if len(other.terms) == 1:
             # a monomial factor only shifts exponents
             ((i2, j2, k2), c2), = other.terms.items()
-            return TracePoly({(i1 + i2, j1 + j2, k1 + k2): c1 * c2 for (i1, j1, k1), c1 in self.terms.items()})
+            return TracePoly._trusted({(i1 + i2, j1 + j2, k1 + k2): c1 * c2 for (i1, j1, k1), c1 in self.terms.items()})
         out: dict[Monomial, int] = {}
         for (i1, j1, k1), c1 in self.terms.items():
             for (i2, j2, k2), c2 in other.terms.items():
                 m = (i1 + i2, j1 + j2, k1 + k2)
                 out[m] = out.get(m, 0) + c1 * c2
-        return TracePoly(out)
+        return TracePoly._trusted({m: c for m, c in out.items() if c})
 
     def __pow__(self, n: int) -> "TracePoly":
         if n < 0:
@@ -242,16 +290,67 @@ def trace_in(letters, x, y, z, one, zero):
     return c0 + c0 + x * c1 + y * c2 + z * c3
 
 
-_X = TracePoly.variable("X")
-_Y = TracePoly.variable("Y")
-_Z = TracePoly.variable("Z")
-_ONE = TracePoly.constant(1)
-_ZERO = TracePoly()
-
-
 def trace_polynomial(w: Word) -> TracePoly:
-    """The integer polynomial in X, Y, Z giving tr(w)."""
-    return trace_in(w.letters, _X, _Y, _Z, _ONE, _ZERO)
+    """The integer polynomial in X, Y, Z giving tr(w): trace_in over the
+    packed ring, decoded once."""
+    n_a = sum(1 for gen, _ in w.letters if gen == "a")
+    n_b = len(w.letters) - n_a
+    # tr w has l1 norm at most 2 * 5^n_a * 2^n_b (module docstring), so
+    # s-bit balanced digits hold its coefficients; s is a whole number of bytes
+    s = (((2 * 5 ** n_a) << n_b).bit_length() + 8) // 8 * 8
+    kbits = (n_a + 1).bit_length()  # the degree in X is at most n_a + 1
+    x, y, z = _Shift(((1, 0, 1),)), _Shift(((1 << kbits, 0, 1),)), _Shift(((0, s, 1),))
+    return _decode(trace_in(w.letters, x, y, z, _Sparse._trusted({0: 1}), _Sparse._trusted({})), kbits, s)
+
+
+class _Shift:
+    """Left multiplication of a packed _Sparse by a sum of signed
+    monomials, each kept as (key offset of its X^i Y^j, bit shift s*k of
+    its Z^k, sign).  The first sign is +1, as in x, y, z and w = z - x*y."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[tuple[int, int, int], ...]):
+        self.parts = parts
+
+    def __sub__(self, other: "_Shift") -> "_Shift":
+        return _Shift(self.parts + tuple((k, sh, -sg) for k, sh, sg in other.parts))
+
+    def __mul__(self, other):
+        if isinstance(other, _Shift):
+            return _Shift(tuple((k1 + k2, s1 + s2, g1 * g2) for k1, s1, g1 in self.parts for k2, s2, g2 in other.parts))
+        (dk, sh, _), *rest = self.parts
+        out = _moved(other.terms, dk, sh)
+        for dk, sh, sg in rest:
+            _accumulate(out, _moved(other.terms, dk, sh).items(), sg)
+        return _Sparse._trusted(out)
+
+
+def _moved(terms: dict[int, int], dk: int, sh: int) -> dict[int, int]:
+    """terms times the monomial with key offset dk and Z shift sh."""
+    if sh:
+        return {k + dk: v << sh for k, v in terms.items()}
+    return {k + dk: v for k, v in terms.items()}
+
+
+def _decode(p: _Sparse, kbits: int, s: int) -> TracePoly:
+    """Read the balanced s-bit digits of each value as the coefficients of
+    Z^0, Z^1, ...; exact while every coefficient is below 2^(s-1)."""
+    width, half, base, kmask = s // 8, 1 << (s - 1), 1 << s, (1 << kbits) - 1
+    terms: dict[Monomial, int] = {}
+    for key, v in p.terms.items():
+        i, j = key & kmask, key >> kbits
+        digits = v.bit_length() // s + 1
+        raw = v.to_bytes(digits * width, "little", signed=True)
+        carry = 0
+        for k in range(digits):
+            d = int.from_bytes(raw[k * width:(k + 1) * width], "little") + carry
+            carry = d >= half
+            if carry:
+                d -= base
+            if d:
+                terms[(i, j, k)] = d
+    return TracePoly._trusted(terms)
 
 
 def clear_trace_memo() -> None:

@@ -71,13 +71,6 @@ class Word:
             return invert(self) ** (-n)
         return _power(self, n, IDENTITY)
 
-    def is_identity(self) -> bool:
-        return not self.letters
-
-    def sort_key(self) -> tuple[int, ...]:
-        """Letter sequence mapped through the order a < A < b < B."""
-        return tuple(_LETTER_ORDER[l] for l in self.letters)
-
 
 def _reduce(letters: Iterable[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
     out: list[tuple[str, int]] = []

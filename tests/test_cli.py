@@ -133,6 +133,13 @@ def test_variety_identity_suite_rejects_empty_runs(capsys, flag, value):
     assert err.startswith(f"usage error: {flag} must be at least")
 
 
+@pytest.mark.parametrize("coeff", ["0", "5"])
+def test_nonarith_rejects_constants(capsys, coeff):
+    code, out, err = run(capsys, "nonarith", "poly:", coeff)
+    assert (code, out) == (2, "")
+    assert err == "usage error: non-arithmeticity report needs a nonconstant polynomial\n"
+
+
 def test_trace_missing_words_file(capsys, tmp_path):
     missing = tmp_path / "no-such-file.txt"
     code, out, err = run(capsys, "trace", "a", "--words-file", str(missing))
