@@ -589,7 +589,11 @@ def non_arithmeticity_report(p: UniPoly, prime_bound: int = 500) -> NonArithmeti
         lines.append(f"irreducibility: {cert.irreducibility.status}")
     lines.append(f"galois: {cert.conclusion}")
     if cert.is_full_symmetric():
-        n = deg
+        # the samples factor the square-free part: each pattern sums to its degree
+        n = sum(cert.samples[0][1])
+        if n <= 4:
+            lines.append("conclusion: solvable Galois group; this test is silent")
+            return NonArithmeticityReport(tuple(lines), "Silent", cert)
         lines.extend(
             [
                 f"consequence: S{n} is not solvable, so the root is not expressible by radicals",

@@ -149,7 +149,8 @@ def cmd_galois(args, cfg: RunConfig) -> int:
         print(f"irreducibility: {cert.irreducibility.status}")
     shown = 0
     for prime, pattern in cert.samples:
-        if pattern == (p.degree(),) or algebraic._forces_transposition(pattern):
+        # one part: an n-cycle of the square-free part that was sampled
+        if len(pattern) == 1 or algebraic._forces_transposition(pattern):
             print(f"sample: prime {prime} degrees {list(pattern)}")
             shown += 1
         if shown >= 4:

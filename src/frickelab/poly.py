@@ -4,6 +4,10 @@ Everything here is certificate-grade: unbounded integer (or rational)
 arithmetic throughout, no floating point.  Provides a primitive-PRS gcd,
 resultants, Sturm chains, real root isolation/refinement by bisection,
 factor-degree patterns mod p, and witness-based irreducibility.
+
+A pattern mod p comes from one distinct-degree pass that also peels off
+multiplicities, so repeated and inseparable factors need no square-free
+decomposition over F_p.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Optional
 
 
@@ -483,20 +488,22 @@ def _gf_trim(f: list[int], p: int) -> list[int]:
 
 
 def _gf_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder mod p; the remainder is reduced once, at the end."""
+    """Quotient and remainder mod p of trimmed a and b.  The quotient comes
+    out trimmed, since its top coefficient is lc(a)/lc(b); the remainder is
+    reduced once, at the end."""
     if not b:
         raise ZeroDivisionError("division by zero polynomial mod p")
     m = len(b) - 1
     inv = pow(b[-1], p - 2, p)
     low = b[:m]
     r = list(a)
-    q = [0] * max(len(a) - m, 1)
+    q = [0] * max(len(a) - m, 0)
     for k in range(len(a) - 1 - m, -1, -1):
         c = r[k + m] * inv % p
         if c:
             q[k] = c
             r[k:k + m] = [x - c * y for x, y in zip(r[k:k + m], low)]
-    return _gf_trim(q, p), _gf_trim(r[:m], p)
+    return q, _gf_trim(r[:m], p)
 
 
 def _gf_monic(f: list[int], p: int) -> list[int]:
@@ -510,46 +517,6 @@ def _gf_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     while b:
         a, b = b, _gf_divmod(a, b, p)[1]
     return _gf_monic(a, p)
-
-
-def _gf_deriv(f: list[int], p: int) -> list[int]:
-    return _gf_trim([i * c % p for i, c in enumerate(f)][1:], p)
-
-
-def _gf_sqf_list(f: list[int], p: int) -> list[tuple[tuple[int, ...], int]]:
-    """Square-free decomposition of monic f over F_p: [(factor, multiplicity)]."""
-    out: dict[tuple[int, ...], int] = {}
-
-    def add(g: list[int], e: int) -> None:
-        if len(g) > 1:
-            key = tuple(g)
-            out[key] = out.get(key, 0) + e
-
-    def walk(f: list[int], scale: int) -> None:
-        if len(f) <= 1:
-            return
-        d = _gf_deriv(f, p)
-        if not d:
-            # f = h(x^p); take the p-th root (Frobenius fixes F_p)
-            h = [f[p * i] for i in range((len(f) - 1) // p + 1)]
-            walk(_gf_monic(h, p), scale * p)
-            return
-        g0 = _gf_gcd(f, d, p)
-        w = _gf_divmod(f, g0, p)[0]
-        i = 1
-        while len(w) > 1:
-            y = _gf_gcd(w, g0, p)
-            z = _gf_divmod(w, y, p)[0]
-            add(z, i * scale)
-            w = y
-            g0 = _gf_divmod(g0, y, p)[0]
-            i += 1
-        if len(g0) > 1:
-            h = [g0[p * i] for i in range((len(g0) - 1) // p + 1)]
-            walk(_gf_monic(h, p), scale * p)
-
-    walk(_gf_monic(f, p), 1)
-    return sorted(out.items())
 
 
 def _pack(cs: list[int], w: int) -> int:
@@ -582,17 +549,28 @@ class _Residue:
         return _Residue(self.mulmod(self.v, other.v), self.mulmod)
 
 
-def _gf_ddf_degrees(f: list[int], p: int) -> list[int]:
-    """Degrees of the irreducible factors of monic square-free f over F_p.
+def _gf_ddf_degrees(f: list[int], p: int) -> list[tuple[int, int]]:
+    """(degree, multiplicity) of each irreducible factor of monic f over F_p.
 
-    Distinct-degree factorization driven by the Frobenius matrix: row i is
+    One distinct-degree pass driven by the Frobenius matrix: row i is
     x^(ip) mod f, packed, so h -> h^p mod f is one packed sum.  h_d =
-    x^(p^d) mod f stays valid modulo every divisor of f, and gcd(rest,
-    h_d - x) has degree k*d when rest has k factors of degree d.
+    x^(p^d) mod f stays valid modulo every divisor of f, and x^(p^d) - x
+    is the square-free product of the monic irreducibles of degree
+    dividing d.  Once the lower degrees are gone from rest, g = gcd(rest,
+    h_d - x) is therefore the product of the distinct degree-d factors of
+    rest, each once, whatever their multiplicities.  Peeling one power
+    per round, rest <- rest / g and then g <- gcd(rest, g), the factors
+    that drop out of g in round m have multiplicity m.  The pass stops
+    when deg rest < 2d: every factor left has degree >= d, so rest is 1
+    or a single irreducible of multiplicity 1.
+
+    No square-free decomposition comes first, so an inseparable f = h(x^p)
+    needs no p-th root: the gcds never use f', and peeling counts the
+    p-th powers like any other multiplicity.
     """
     n = len(f) - 1
     if n == 1:
-        return [1]
+        return [(1, 1)]
     # a slot holds a product coefficient plus the reduction's sum
     w = (2 * n * (p - 1) ** 2).bit_length()
     slot, low = (1 << w) - 1, (1 << (n * w)) - 1
@@ -617,22 +595,27 @@ def _gf_ddf_degrees(f: list[int], p: int) -> list[int]:
 
     xp = _power(_Residue(1 << w, mulmod), p, _Residue(1, mulmod)).v
     rows = [1, xp]
-    while len(rows) < n:
-        rows.append(mulmod(rows[-1], xp))
 
     out = []
     rest, h, d = f, _unpack(xp, w, n, p), 1
-    while len(rest) - 1 >= 2 * d:
+    while True:  # deg rest = n >= 2d at d = 1
         hx = h[:]
         hx[1] -= 1
-        g = _gf_gcd(rest, _gf_trim(hx, p), p)
-        if len(g) > 1:
-            out += [d] * ((len(g) - 1) // d)
+        g, m = _gf_gcd(rest, _gf_trim(hx, p), p), 1
+        while len(g) > 1:
             rest = _gf_divmod(rest, g, p)[0]
-        h = _unpack(sum(c * row for c, row in zip(h, rows) if c), w, n, p)
+            left = _gf_gcd(rest, g, p)
+            out += [(d, m)] * ((len(g) - len(left)) // d)
+            g, m = left, m + 1
         d += 1
+        if len(rest) - 1 < 2 * d:
+            break
+        # the Frobenius rows, built only once some h_d with d >= 2 is needed
+        while len(rows) < n:
+            rows.append(mulmod(rows[-1], xp))
+        h = _unpack(sum(c * row for c, row in zip(h, rows) if c), w, n, p)
     if len(rest) > 1:
-        out.append(len(rest) - 1)
+        out.append((len(rest) - 1, 1))
     return out
 
 
@@ -648,7 +631,13 @@ def _is_small_prime(n: int) -> bool:
 
 
 def factor_mod_p(p: UniPoly, prime: int) -> tuple[tuple[int, int], ...]:
-    """Degrees and multiplicities of the irreducible factors of p mod prime."""
+    """Sorted (degree, multiplicity) pairs of the irreducible factors of p
+    mod prime, one pair per distinct factor.
+
+    A single distinct-degree pass over the monic reduction of p, with the
+    multiplicities peeled off inside it (see _gf_ddf_degrees); repeated and
+    inseparable factors need no square-free decomposition first.
+    """
     if not _is_small_prime(prime):
         raise ValueError(f"{prime} is not prime")
     if p.is_zero():
@@ -658,22 +647,19 @@ def factor_mod_p(p: UniPoly, prime: int) -> tuple[tuple[int, int], ...]:
     reduced = _gf_trim(list(p.coeffs), prime)
     if len(reduced) <= 1:
         return ()
-    return tuple(sorted(
-        (d, mult)
-        for sq, mult in _gf_sqf_list(reduced, prime)
-        for d in _gf_ddf_degrees(list(sq), prime)
-    ))
+    return tuple(sorted(_gf_ddf_degrees(_gf_monic(reduced, prime), prime)))
 
 
 def primes(bound: int) -> list[int]:
-    sieve = bytearray([1]) * (bound + 1) if bound >= 0 else bytearray()
-    out = []
-    for n in range(2, bound + 1):
+    """The primes <= bound, ascending (Eratosthenes, composites struck by slice)."""
+    if bound < 2:
+        return []
+    sieve = bytearray([1]) * (bound + 1)
+    sieve[:2] = b"\0\0"
+    for n in range(2, math.isqrt(bound) + 1):
         if sieve[n]:
-            out.append(n)
-            for m in range(n * n, bound + 1, n):
-                sieve[m] = 0
-    return out
+            sieve[n * n::n] = bytes(len(range(n * n, bound + 1, n)))
+    return list(compress(range(bound + 1), sieve))
 
 
 # -- rational roots and irreducibility ---------------------------------------

@@ -175,3 +175,15 @@ def test_non_arithmeticity_reports():
     rep = non_arithmeticity_report(QUINTIC, prime_bound=2)
     assert rep.verdict == "NotCertified"
     assert "NOT certified" in rep.to_text()
+
+
+def test_non_arithmeticity_report_reads_the_square_free_degree():
+    rep = non_arithmeticity_report(QUINTIC * QUINTIC)
+    assert rep.verdict == "NonArithmeticCertified"
+    assert "consequence: S5 is not solvable" in rep.to_text()
+    assert "S10" not in rep.to_text()
+    assert rep.certificate.samples == galois_cycle_types(QUINTIC).samples
+
+    rep = non_arithmeticity_report(UniPoly([-2, 0, 1]) ** 3)
+    assert rep.certificate.conclusion == "FullSymmetric(2)"
+    assert rep.verdict == "Silent"

@@ -357,3 +357,39 @@ def test_mpmath_not_imported_by_verify_paper():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+SQUARED_QUINTIC = ("poly:", "16", "-32", "-8", "56", "-7", "-48", "12", "22", "-4", "-4", "1")
+
+
+def test_galois_of_a_square_lists_the_square_free_parts_cycles(capsys):
+    # the samples factor the quintic, so its 5-cycles are the n-cycles shown
+    code, out, _ = run(capsys, "galois", *SQUARED_QUINTIC)
+    assert code == 0
+    assert out == run(capsys, "galois", "poly:", "-4", "4", "3", "-4", "-2", "1")[1]
+    assert "sample: prime 5 degrees [5]\n" in out
+
+
+def test_nonarith_of_a_square_names_the_square_free_degree(capsys):
+    code, out, _ = run(capsys, "nonarith", *SQUARED_QUINTIC)
+    assert code == 0
+    assert out == (
+        "minimal polynomial: poly: 16 -32 -8 56 -7 -48 12 22 -4 -4 1\n"
+        "degree: 10\n"
+        "irreducibility: witness prime 5\n"
+        "galois: FullSymmetric(5)\n"
+        "consequence: S5 is not solvable, so the root is not expressible by radicals\n"
+        "consequence: a trace of the form lambda + 1/lambda with lambda radical is impossible\n"
+        "consequence: the group is not commensurable with the modular group\n"
+        "conclusion: non-arithmetic: certified\n"
+        "verdict: NonArithmeticCertified\n"
+    )
+
+
+def test_nonarith_of_a_cubed_quadratic_is_silent(capsys):
+    # (x^2 - 2)^3: the Galois group of x^2 - 2 is S2, which is solvable
+    code, out, _ = run(capsys, "nonarith", "poly:", "-8", "0", "12", "0", "-6", "0", "1")
+    assert code == 0
+    assert "galois: FullSymmetric(2)\n" in out
+    assert "not solvable" not in out
+    assert out.endswith("conclusion: solvable Galois group; this test is silent\nverdict: Silent\n")

@@ -18,6 +18,14 @@ def _monic(rng, deg, bound=9):
     return UniPoly([rng.randint(-bound, bound) for _ in range(deg)] + [1])
 
 
+def _power_of_x(h, prime):
+    """h(x^prime): its derivative vanishes mod prime."""
+    coeffs = [0] * (prime * h.degree() + 1)
+    for i, c in enumerate(h.coeffs):
+        coeffs[prime * i] = c
+    return UniPoly(coeffs)
+
+
 def _small_cases(rng):
     """Random, a*b^2, a^3 and h(x^p) inputs of degree <= 8 for primes <= 13."""
     for _ in range(60):
@@ -35,12 +43,7 @@ def _small_cases(rng):
             yield _monic(rng, 8), prime
     for prime in (2, 3):
         for _ in range(10):
-            # derivative vanishes mod p: every exponent is a multiple of p
-            h = _monic(rng, rng.randint(1, 8 // prime))
-            coeffs = [0] * (prime * h.degree() + 1)
-            for i, c in enumerate(h.coeffs):
-                coeffs[prime * i] = c
-            yield UniPoly(coeffs), prime
+            yield _power_of_x(_monic(rng, rng.randint(1, 8 // prime)), prime), prime
 
 
 def test_factor_mod_p_matches_trial_division_up_to_degree_8():
@@ -100,3 +103,48 @@ def test_product_of_quintics_is_never_certified():
     cert = galois_cycle_types(p, 500)
     assert not cert.is_full_symmetric()
     assert cert.conclusion == "Unknown"
+
+
+# -- multiplicities peeled inside the distinct-degree pass ---------------------------
+
+
+def _agrees(p, prime, expected=None):
+    got = factor_mod_p(p, prime)
+    assert got == brute_force_factor_degrees(p.coeffs, prime), (p, prime)
+    if expected is not None:
+        assert got == expected, (p, prime)
+
+
+def test_peeling_linear_factors_of_three_multiplicities():
+    # (x - 1)(x - 2)^2 (x - 3)^3 mod 7
+    p = UniPoly([-1, 1]) * UniPoly([-2, 1]) ** 2 * UniPoly([-3, 1]) ** 3
+    _agrees(p, 7, ((1, 1), (1, 2), (1, 3)))
+
+
+def test_peeling_two_quadratics_of_one_degree():
+    # x^2 + 2 and x^2 + 3 are irreducible mod 5: neither -2 nor -3 is a square
+    p = UniPoly([2, 0, 1]) * UniPoly([3, 0, 1]) ** 2
+    _agrees(p, 5, ((2, 1), (2, 2)))
+
+
+@pytest.mark.parametrize("prime", [2, 3, 5])
+def test_peeling_pth_powers(prime):
+    rng = random.Random(prime)
+    for _ in range(6):
+        g = _monic(rng, rng.randint(1, 2 if prime < 5 else 1))
+        h = _monic(rng, rng.randint(1, 3))
+        _agrees(g ** prime * h, prime)
+        _agrees(g ** prime, prime)
+
+
+def test_peeling_random_products():
+    rng = random.Random(1618)
+    for _ in range(40):
+        prime = rng.choice([2, 3, 5, 7])
+        a, b, c = _monic(rng, rng.randint(1, 3)), _monic(rng, rng.randint(1, 2)), _monic(rng, 1)
+        _agrees(a * b ** 2 * c ** 3, prime)
+    for _ in range(30):
+        prime = rng.choice([2, 3, 5])
+        a, h = _monic(rng, rng.randint(1, 3)), _monic(rng, rng.randint(1, 6 // prime))
+        _agrees(a * _power_of_x(h, prime), prime)
+        _agrees(_power_of_x(h, prime), prime)
