@@ -31,6 +31,7 @@ from .poly import (
     gcd,
     irreducible_over_Q,
     primes,
+    rational_roots,
     refine_root,
     square_free_part,
     sturm_chain,
@@ -93,9 +94,6 @@ class AlgebraicReal:
         if g.degree() < 1:
             return False
         return g.sign_at(self.lo) != g.sign_at(self.hi)
-
-    def to_float(self) -> float:
-        return float((self.lo + self.hi) / 2)
 
 
 def make_algebraic(p: UniPoly, hint: tuple) -> AlgebraicReal:
@@ -319,9 +317,6 @@ class FieldElement:
     def cmp_rational(self, q) -> int:
         return (self - Fraction(q)).sign()
 
-    def to_float(self) -> float:
-        return float(self.interval(Fraction(1, 10**12)).mid())
-
 
 def _horner_interval(coeffs, iv: RatInterval) -> RatInterval:
     """Interval Horner acc * iv + c on integer coefficients, with acc kept
@@ -518,8 +513,11 @@ def galois_cycle_types(p: UniPoly, prime_bound: int = 500) -> GaloisCertificate:
     Each prime is factored once.  The irreducibility witness is the lowest
     sample with pattern (n,): a prime not dividing lc(q) at which q stays
     irreducible cannot divide disc(q), since finite fields are perfect, so
-    irreducible_over_Q would name the same prime.  It runs only when no
-    sample is an n-cycle, to report a rational root or Inconclusive.
+    irreducible_over_Q would name the same prime.  Without an n-cycle
+    sample no prime below the bound can be a witness: each prime p not
+    dividing lc(q) is a sample or divides disc(q), and then q mod p has a
+    repeated factor.  So only a rational root is looked for, else the
+    verdict is Inconclusive.
     """
     if p.is_zero() or p.degree() < 1:
         raise ValueError("Galois sampling needs a nonconstant polynomial")
@@ -533,12 +531,13 @@ def galois_cycle_types(p: UniPoly, prime_bound: int = 500) -> GaloisCertificate:
     )
     witness = next((prime for prime, pat in samples if pat == (n,)), None)
     if witness is None:
-        irr = irreducible_over_Q(q, prime_bound)
-        note = (
-            f"irreducibility failed: rational root {irr.root}"
-            if irr.status == "rational_root"
-            else f"no irreducibility witness below {prime_bound}"
-        )
+        roots = rational_roots(q) if n >= 2 else []
+        if roots:
+            irr = IrreducibilityVerdict("rational_root", root=roots[0])
+            note = f"irreducibility failed: rational root {irr.root}"
+        else:
+            irr = IrreducibilityVerdict("inconclusive")
+            note = f"no irreducibility witness below {prime_bound}"
         return GaloisCertificate(irr, samples, "Unknown", note)
 
     irr = IrreducibilityVerdict("irreducible", witness=witness)

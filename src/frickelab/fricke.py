@@ -92,15 +92,6 @@ class FrickePoint:
     def __repr__(self) -> str:
         return f"FrickePoint({self.kind}, {self.coords!r})"
 
-    def x(self) -> Coordinate:
-        return self.coords[0]
-
-    def y(self) -> Coordinate:
-        return self.coords[1]
-
-    def z(self) -> Coordinate:
-        return self.coords[2]
-
     def coordinate_intervals(self, eps) -> tuple[RatInterval, RatInterval, RatInterval]:
         return tuple(_coord_interval(c, eps) for c in self.coords)  # type: ignore[return-value]
 
@@ -146,12 +137,6 @@ class EvalResult:
     kind: str  # matches the point kind
     value: Coordinate
 
-    def sign(self) -> int:
-        """Exact for rational/field values; PrecisionError on straddling intervals."""
-        if self.kind == "rational":
-            return (self.value > 0) - (self.value < 0)
-        return self.value.sign()
-
     def is_certified_zero(self) -> bool:
         if self.kind == "rational":
             return self.value == 0
@@ -168,16 +153,17 @@ class EvalResult:
         return _coord_interval(self.value, eps)
 
 
-def evaluate_at_point(tp: TracePoly, pt: FrickePoint, eps=Fraction(1, 2**128)) -> EvalResult:
+def evaluate_at_point(tp: TracePoly, pt: FrickePoint) -> EvalResult:
     """tp at the point: exact at rational and field points; at interval
-    points TracePoly.evaluate's enclosure, computed by _evaluate_box."""
+    points TracePoly.evaluate's enclosure of the coordinate box itself,
+    computed by _evaluate_box."""
     if pt.kind == "rational":
         return EvalResult("rational", tp.evaluate(*pt.coords))
     if pt.kind == "field":
         zero = pt.field.from_rational(0)
         value = zero + tp.evaluate(*pt.coords)
         return EvalResult("field", value)
-    return EvalResult("interval", _evaluate_box(tp, pt.coordinate_intervals(eps)))
+    return EvalResult("interval", _evaluate_box(tp, pt.coords))
 
 
 def _evaluate_box(tp: TracePoly, box: tuple[RatInterval, RatInterval, RatInterval]) -> RatInterval:
@@ -207,9 +193,9 @@ def _evaluate_box(tp: TracePoly, box: tuple[RatInterval, RatInterval, RatInterva
     return RatInterval(Fraction(total_lo, den), Fraction(total_hi, den))
 
 
-def markov_residual(pt: FrickePoint, eps=Fraction(1, 2**128)) -> EvalResult:
+def markov_residual(pt: FrickePoint) -> EvalResult:
     """Certified evaluation of x^2 + y^2 + z^2 - xyz at the point."""
-    return evaluate_at_point(MARKOV, pt, eps)
+    return evaluate_at_point(MARKOV, pt)
 
 
 @dataclass(frozen=True)
@@ -391,14 +377,16 @@ def solve_pattern_system(precision_bits: int = 128) -> FrickePoint:
 # -- traces and lengths ------------------------------------------------------------
 
 
-def trace_of(pt: FrickePoint, w: Word, eps=Fraction(1, 2**128)) -> EvalResult:
+def trace_of(pt: FrickePoint, w: Word) -> EvalResult:
     """tr(w) at the point: one exact pass at rational and field points;
-    at interval points the expanded polynomial is evaluated on integer
-    numerators over one common denominator (see _evaluate_box), which
-    gives tighter enclosures than interval arithmetic along the word and
-    the same endpoints as TracePoly.evaluate on RatIntervals."""
+    at interval points the expanded polynomial is evaluated over the
+    coordinate box on integer numerators over one common denominator (see
+    _evaluate_box), which gives tighter enclosures than interval
+    arithmetic along the word and the same endpoints as
+    TracePoly.evaluate on RatIntervals.  The box is the point's own, so
+    its enclosure has a fixed width."""
     if pt.kind == "interval":
-        return evaluate_at_point(trace_polynomial(w), pt, eps)
+        return evaluate_at_point(trace_polynomial(w), pt)
     if pt.kind == "field":
         one, zero = pt.field.from_rational(1), pt.field.from_rational(0)
     else:
@@ -456,6 +444,9 @@ def length_of(pt: FrickePoint, w: Word, precision=Fraction(1, 2**96)) -> RatInte
         out = RatInterval(*_iv_endpoints(val))
         if out.width() < precision:
             return out
+        if tr.kind == "interval":
+            # the box's enclosure is the same at every eps: no retry can narrow it
+            break
         eps /= 256
         ctx.prec += 64
         iv_in = tr.interval(eps)

@@ -406,7 +406,17 @@ def root_bound(p: UniPoly) -> Fraction:
 
 
 def isolate_real_roots(p: UniPoly) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint open rational intervals, one per real root, ascending."""
+    """Disjoint open rational intervals, one per real root, ascending.
+
+    Bisection of the Cauchy interval of the square-free part, driven by a
+    worklist of (lo, hi, root count) triples popped depth first, left half
+    first, so any depth runs in constant stack.  One Sturm count per split
+    gives the left count.  A midpoint that is itself a (rational) root is
+    stepped left by (hi - lo)/4, then by a further (hi - lo)/8, and so on,
+    which stays inside (lo, mid), until it is not a root; there are
+    finitely many roots, so this stops, and no split point or interval
+    endpoint is ever a root.
+    """
     if p.is_zero():
         raise ValueError("cannot isolate roots of the zero polynomial")
     sf = square_free_part(p)
@@ -415,32 +425,17 @@ def isolate_real_roots(p: UniPoly) -> list[tuple[Fraction, Fraction]]:
     chain = sturm_chain(sf)
     bound = root_bound(sf)
     out: list[tuple[Fraction, Fraction]] = []
-
-    def split(lo: Fraction, hi: Fraction, k: int) -> None:
-        if k == 0:
-            return
+    todo = [(-bound, bound, _sturm_counts(chain, -bound, bound)[0])]
+    while todo:
+        lo, hi, k = todo.pop()
         if k == 1:
             out.append((lo, hi))
-            return
-        mid = (lo + hi) / 2
-        if sf.sign_at(mid) != 0:
+        elif k > 1:
+            mid, step = (lo + hi) / 2, (hi - lo) / 4
+            while sf.sign_at(mid) == 0:
+                mid, step = mid - step, step / 2
             kl = _sturm_counts(chain, lo, mid)[0]
-            split(lo, mid, kl)
-            split(mid, hi, k - kl)
-            return
-        # mid is itself a (rational) root: fence it off, recurse on both sides
-        delta = (hi - lo) / 4
-        while True:
-            m1, m2 = mid - delta, mid + delta
-            if sf.sign_at(m1) != 0 and sf.sign_at(m2) != 0 and _sturm_counts(chain, m1, m2) == [1]:
-                break
-            delta /= 2
-        kl = _sturm_counts(chain, lo, m1)[0]
-        split(lo, m1, kl)
-        out.append((m1, m2))
-        split(m2, hi, k - kl - 1)
-
-    split(-bound, bound, _sturm_counts(chain, -bound, bound)[0])
+            todo += [(mid, hi, k - kl), (lo, mid, kl)]
     # tighten for predictable downstream display; disjointness is preserved
     return [refine_root(sf, iv, Fraction(1, 4)) for iv in out]
 

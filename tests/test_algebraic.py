@@ -153,6 +153,30 @@ def test_galois_certificates():
     assert "rational root" in cert.note
 
 
+@pytest.mark.parametrize(
+    "p",
+    [UniPoly([1, 0, 0, 0, 1]), UniPoly([-2, 0, 0, 1]) * UniPoly([-1, -1, 0, 1])],
+    ids=["x^4+1", "(x^3-2)(x^3-x-1)"],
+)
+def test_galois_without_n_cycle_factors_each_sample_once(p, monkeypatch):
+    import frickelab.algebraic
+    import frickelab.poly
+
+    calls = []
+    factor = frickelab.poly.factor_mod_p
+
+    def counting(*args):
+        calls.append(args[1])
+        return factor(*args)
+
+    monkeypatch.setattr(frickelab.poly, "factor_mod_p", counting)
+    monkeypatch.setattr(frickelab.algebraic, "factor_mod_p", counting)
+    cert = galois_cycle_types(p, 500)
+    assert cert.conclusion == "Unknown"
+    assert cert.irreducibility.status == "inconclusive"
+    assert calls == [prime for prime, _ in cert.samples]
+
+
 def test_galois_starved_sampler():
     cert = galois_cycle_types(QUINTIC, 2)
     assert cert.conclusion == "Unknown"

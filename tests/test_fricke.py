@@ -205,6 +205,25 @@ def test_length_of_interval_traces_near_minus_two():
     assert iv.contains(Fraction(1924, 1000))  # 2 acosh(3/2) = 1.9248...
 
 
+def test_length_of_interval_point_stops_after_one_try(monkeypatch):
+    # a box's trace enclosure does not narrow with eps: one try, then refuse
+    import frickelab.fricke
+
+    calls = []
+    interval = frickelab.fricke.EvalResult.interval
+
+    def counting(self, eps):
+        calls.append(eps)
+        return interval(self, eps)
+
+    monkeypatch.setattr(frickelab.fricke.EvalResult, "interval", counting)
+    r = Fraction(1, 2 ** 20)
+    box = FrickePoint.from_intervals(*[RatInterval(3 - r, 3 + r)] * 3)
+    with pytest.raises(NonHyperbolicError, match="did not reach width"):
+        length_of(box, parse_word("ab"))
+    assert len(calls) == 1
+
+
 def test_rational_length_point():
     # trace 3 at a rational point: length = 2 acosh(3/2)
     pt = FrickePoint.from_rationals(3, 3, 3)
