@@ -7,7 +7,20 @@ factor-degree patterns mod p, and witness-based irreducibility.
 
 A pattern mod p comes from one distinct-degree pass that also peels off
 multiplicities, so repeated and inseparable factors need no square-free
-decomposition over F_p.
+decomposition over F_p.  That pass works on one representation throughout:
+a polynomial over F_p of degree < 2n is a single int with coefficient i in
+bits [iw, (i + 1)w), so a sum or product of polynomials is one sum or
+product of ints (Kronecker substitution).  The slots are sized so that
+every value an operation leaves in them stays below n(p - 1)^2 + p; then
+all slots are reduced mod p at once by
+
+    v - p * (((v * mu) >> t) & M),   mu = ceil(2^t / p),  2^t > p * slot,
+
+with M keeping the low w - t bits of each slot (_slot_reducer).  Euclid's
+gcd and exact division add one shifted multiple of the divisor per
+quotient term and reduce once per division; a product is reduced mod f by
+polynomial Barrett reduction, its quotient read off one product with the
+precomputed x^(2n-1) div f (_gf_ddf_degrees).
 """
 
 from __future__ import annotations
@@ -472,46 +485,7 @@ def refine_root(p: UniPoly, interval: tuple[Fraction, Fraction], eps) -> tuple[F
 
 
 # -- arithmetic modulo a small prime ----------------------------------------
-# dense coefficient lists, ascending, trimmed
-
-
-def _gf_trim(f: list[int], p: int) -> list[int]:
-    f = [c % p for c in f]
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _gf_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder mod p of trimmed a and b.  The quotient comes
-    out trimmed, since its top coefficient is lc(a)/lc(b); the remainder is
-    reduced once, at the end."""
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial mod p")
-    m = len(b) - 1
-    inv = pow(b[-1], p - 2, p)
-    low = b[:m]
-    r = list(a)
-    q = [0] * max(len(a) - m, 0)
-    for k in range(len(a) - 1 - m, -1, -1):
-        c = r[k + m] * inv % p
-        if c:
-            q[k] = c
-            r[k:k + m] = [x - c * y for x, y in zip(r[k:k + m], low)]
-    return q, _gf_trim(r[:m], p)
-
-
-def _gf_monic(f: list[int], p: int) -> list[int]:
-    if not f:
-        return f
-    inv = pow(f[-1], p - 2, p)
-    return [c * inv % p for c in f]
-
-
-def _gf_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    while b:
-        a, b = b, _gf_divmod(a, b, p)[1]
-    return _gf_monic(a, p)
+# packed ints: coefficient i of a polynomial over F_p in bits [iw, (i+1)w)
 
 
 def _pack(cs: list[int], w: int) -> int:
@@ -522,14 +496,34 @@ def _pack(cs: list[int], w: int) -> int:
     return acc
 
 
-def _unpack(v: int, w: int, n: int, p: int) -> list[int]:
-    """The first n slots of a packed int, each reduced mod p."""
-    mask = (1 << w) - 1
-    out = []
-    for _ in range(n):
-        out.append((v & mask) % p)
-        v >>= w
-    return out
+def _slot_reducer(n: int, p: int):
+    """(w, reduce) for polynomials mod p packed in w-bit slots.
+
+    A slot may hold any value below n(p - 1)^2 + p, and reduce takes up to
+    2n such slots to their residues mod p at once, with one multiply, one
+    shift and one mask:
+
+        reduce(v) = v - p * (((v * mu) >> t) & M),   mu = ceil(2^t / p),
+
+    where M keeps the low w - t bits of each slot.  Write mu = (2^t + e)/p
+    with 0 <= e < p.  For a slot value a, a*mu / 2^t = a/p + a*e/(p 2^t),
+    and t is the least exponent with 2^t > p*a for every allowed a, so
+    a*e < 2^t and the error term stays below 1/p: the shift reads floor(a/p)
+    exactly.  w is the least width with a*mu < 2^w for every allowed a, so
+    the products a*mu of neighbouring slots never overlap.  After the shift,
+    slot i holds floor(a*mu / 2^t) in its low w - t bits, under the low t
+    bits of slot i + 1's product, which M drops.
+    """
+    bound = n * (p - 1) ** 2 + p
+    t = (p * (bound - 1)).bit_length()
+    mu = -(-(1 << t) // p)
+    w = ((bound - 1) * mu).bit_length()
+    mask = ((1 << (w - t)) - 1) * (((1 << (2 * n * w)) - 1) // ((1 << w) - 1))
+
+    def reduce(v: int) -> int:
+        return v - p * ((v * mu >> t) & mask)
+
+    return w, reduce
 
 
 class _Residue:
@@ -544,73 +538,107 @@ class _Residue:
         return _Residue(self.mulmod(self.v, other.v), self.mulmod)
 
 
-def _gf_ddf_degrees(f: list[int], p: int) -> list[tuple[int, int]]:
-    """(degree, multiplicity) of each irreducible factor of monic f over F_p.
+def _gf_ddf_degrees(coeffs: tuple[int, ...], p: int) -> list[tuple[int, int]]:
+    """(degree, multiplicity) of each irreducible factor over F_p of the
+    polynomial with these ascending coefficients, p not dividing the last.
 
     One distinct-degree pass driven by the Frobenius matrix: row i is
-    x^(ip) mod f, packed, so h -> h^p mod f is one packed sum.  h_d =
-    x^(p^d) mod f stays valid modulo every divisor of f, and x^(p^d) - x
-    is the square-free product of the monic irreducibles of degree
-    dividing d.  Once the lower degrees are gone from rest, g = gcd(rest,
-    h_d - x) is therefore the product of the distinct degree-d factors of
-    rest, each once, whatever their multiplicities.  Peeling one power
-    per round, rest <- rest / g and then g <- gcd(rest, g), the factors
-    that drop out of g in round m have multiplicity m.  The pass stops
-    when deg rest < 2d: every factor left has degree >= d, so rest is 1
-    or a single irreducible of multiplicity 1.
+    x^(ip) mod f, so h -> h^p mod f is one sum of rows.  h_d = x^(p^d) mod
+    f stays valid modulo every divisor of f, and x^(p^d) - x is the
+    square-free product of the monic irreducibles of degree dividing d.
+    Once the lower degrees are gone from rest, g = gcd(rest, h_d - x) is
+    therefore the product of the distinct degree-d factors of rest, each
+    once, whatever their multiplicities.  Peeling one power per round,
+    rest <- rest / g and then g <- gcd(rest, g), the factors that drop out
+    of g in round m have multiplicity m.  The pass stops when deg rest <
+    2d: every factor left has degree >= d, so rest is 1 or a single
+    irreducible of multiplicity 1.  Only degrees are read, so no gcd or
+    quotient is made monic.
 
     No square-free decomposition comes first, so an inseparable f = h(x^p)
     needs no p-th root: the gcds never use f', and peeling counts the
     p-th powers like any other multiplicity.
+
+    Every polynomial is one packed int, coefficient i in slot i, and all
+    its slots are reduced mod p at once (see _slot_reducer).  Each
+    operation leaves its slots below n(p - 1)^2 + p, the bound the slots
+    are sized for:
+    - a product of two reduced polynomials of degree < n, or a sum of n
+      reduced Frobenius rows times reduced coefficients: n(p - 1)^2;
+    - a division of reduced polynomials with at most n quotient terms:
+      the top slot mod p over lc(divisor) gives the next term c, and
+      adding p - c times the divisor, shifted, clears that slot mod p, so
+      a slot gains at most (p - 1)^2 per term.  Every division here has at
+      most n terms.  The cleared top slots are masked off, and the
+      remainder is reduced once, at the end.
+    A product c = c1 x^n + c0 (deg c <= 2n - 2) is reduced mod f by
+    polynomial Barrett reduction.  With u = x^(2n-1) div f, computed once,
+    the quotient c div f is exactly q = (c1 u) div x^(n-1), and c mod f is
+    the low n slots of c0 - q f.  These are computed as c0 + q (-f mod p),
+    so no slot goes negative: three multiplies and three reductions.
     """
-    n = len(f) - 1
+    n = len(coeffs) - 1
     if n == 1:
         return [(1, 1)]
-    # a slot holds a product coefficient plus the reduction's sum
-    w = (2 * n * (p - 1) ** 2).bit_length()
+    w, reduce = _slot_reducer(n, p)
     slot, low = (1 << w) - 1, (1 << (n * w)) - 1
-    # x^(n+k) mod f for k < n - 1: reducing a product is one more packed sum
-    r = [-c % p for c in f[:-1]]
-    tails = []
-    for _ in range(n - 1):
-        tails.append(_pack(r, w))
-        top = r[-1]
-        r = [(c - top * fc) % p for c, fc in zip([0] + r[:-1], f)]
+
+    def deg(v: int) -> int:
+        return (v.bit_length() - 1) // w
+
+    def divide(a: int, b: int) -> tuple[int, int]:
+        """a div b, and a mod b with unreduced slots, for reduced a and b
+        and at most n quotient terms."""
+        db = (b.bit_length() - 1) // w
+        inv = pow(b >> db * w, -1, p)
+        q = 0
+        for k in range((a.bit_length() - 1) // w - db, -1, -1):
+            c = (a >> (k + db) * w & slot) * inv % p
+            if c:
+                q |= c << k * w
+                a += (p - c) * b << k * w
+        # the slots from deg b up are now 0 mod p
+        return q, a & ((1 << db * w) - 1)
+
+    def gcd(a: int, b: int) -> int:
+        while b >> w:
+            a, b = b, reduce(divide(a, b)[1])
+        return 1 if b else a
+
+    f = _pack([c % p for c in coeffs], w)
+    barrett = divide(1 << (2 * n - 1) * w, f)[0]
+    negf = _pack([-c % p for c in coeffs[:-1]], w)
 
     def mulmod(a: int, b: int) -> int:
-        v = a * b
-        acc = v & low
-        v >>= n * w
-        for t in tails:
-            if not v:
-                break
-            acc += (v & slot) % p * t
-            v >>= w
-        return _pack(_unpack(acc, w, n, p), w)
+        c = reduce(a * b)
+        q = reduce((c >> n * w) * barrett >> (n - 1) * w)
+        return reduce((c & low) + (q * negf & low))
 
     xp = _power(_Residue(1 << w, mulmod), p, _Residue(1, mulmod)).v
     rows = [1, xp]
 
     out = []
-    rest, h, d = f, _unpack(xp, w, n, p), 1
+    rest, h, d = f, xp, 1
     while True:  # deg rest = n >= 2d at d = 1
-        hx = h[:]
-        hx[1] -= 1
-        g, m = _gf_gcd(rest, _gf_trim(hx, p), p), 1
-        while len(g) > 1:
-            rest = _gf_divmod(rest, g, p)[0]
-            left = _gf_gcd(rest, g, p)
-            out += [(d, m)] * ((len(g) - len(left)) // d)
+        g, m = gcd(rest, reduce(h + (p - 1 << w))), 1
+        while g >> w:
+            rest = divide(rest, g)[0]
+            left = gcd(rest, g)
+            out += [(d, m)] * ((deg(g) - deg(left)) // d)
             g, m = left, m + 1
         d += 1
-        if len(rest) - 1 < 2 * d:
+        if deg(rest) < 2 * d:
             break
         # the Frobenius rows, built only once some h_d with d >= 2 is needed
         while len(rows) < n:
             rows.append(mulmod(rows[-1], xp))
-        h = _unpack(sum(c * row for c, row in zip(h, rows) if c), w, n, p)
-    if len(rest) > 1:
-        out.append((len(rest) - 1, 1))
+        acc = 0
+        for row in rows:
+            acc += (h & slot) * row
+            h >>= w
+        h = reduce(acc)
+    if rest >> w:
+        out.append((deg(rest), 1))
     return out
 
 
@@ -629,7 +657,7 @@ def factor_mod_p(p: UniPoly, prime: int) -> tuple[tuple[int, int], ...]:
     """Sorted (degree, multiplicity) pairs of the irreducible factors of p
     mod prime, one pair per distinct factor.
 
-    A single distinct-degree pass over the monic reduction of p, with the
+    A single distinct-degree pass over the reduction of p, with the
     multiplicities peeled off inside it (see _gf_ddf_degrees); repeated and
     inseparable factors need no square-free decomposition first.
     """
@@ -639,10 +667,9 @@ def factor_mod_p(p: UniPoly, prime: int) -> tuple[tuple[int, int], ...]:
         raise ValueError("cannot factor the zero polynomial")
     if p.lc() % prime == 0:
         raise ValueError(f"prime {prime} divides the leading coefficient")
-    reduced = _gf_trim(list(p.coeffs), prime)
-    if len(reduced) <= 1:
+    if p.degree() == 0:
         return ()
-    return tuple(sorted(_gf_ddf_degrees(_gf_monic(reduced, prime), prime)))
+    return tuple(sorted(_gf_ddf_degrees(p.coeffs, prime)))
 
 
 def primes(bound: int) -> list[int]:
@@ -660,8 +687,21 @@ def primes(bound: int) -> list[int]:
 # -- rational roots and irreducibility ---------------------------------------
 
 
+# Largest outer coefficient whose divisors rational_roots finds by trial
+# division.  Near 10^5 that search and root isolation cost about the same
+# in degree 2 to 12; above it the search grows as the square root.
+_DIVISOR_SEARCH_MAX = 10**5
+
+
 def rational_roots(p: UniPoly) -> list[Fraction]:
-    """All rational roots (candidates from divisors of the outer coefficients)."""
+    """All rational roots.
+
+    A root a/b of the primitive part, in lowest terms, has a | c0 and
+    b | lc.  While both are small the candidates are their divisors.
+    Above that, trial division would grow tenfold every two digits, so
+    each real root is instead isolated and rounded to the one multiple of
+    1/lc it can equal (_rounded_real_roots).
+    """
     if p.is_zero():
         raise ValueError("every rational is a root of the zero polynomial")
     coeffs = list(p.coeffs)
@@ -675,12 +715,34 @@ def rational_roots(p: UniPoly) -> list[Fraction]:
         roots.add(Fraction(0))
     if q.degree() >= 1:
         c0, cn = abs(q.coeffs[0]), abs(q.lc())
-        for num in _divisors(c0):
-            for den in _divisors(cn):
-                for cand in (Fraction(num, den), Fraction(-num, den)):
-                    if q.sign_at(cand) == 0:
-                        roots.add(cand)
+        if max(c0, cn) <= _DIVISOR_SEARCH_MAX:
+            candidates = _divisor_candidates(c0, cn)
+        else:
+            candidates = _rounded_real_roots(q)
+        roots.update(c for c in candidates if q.sign_at(c) == 0)
     return sorted(roots)
+
+
+def _divisor_candidates(c0: int, cn: int) -> list[Fraction]:
+    """Every ±num/den with num | c0 and den | cn."""
+    return [
+        Fraction(s * num, den) for num in _divisors(c0) for den in _divisors(cn) for s in (1, -1)
+    ]
+
+
+def _rounded_real_roots(q: UniPoly) -> list[Fraction]:
+    """One rational candidate per real root of q: m/lc, with lc the leading
+    coefficient of the primitive square-free part, which every rational
+    root's denominator divides.  Each isolating interval is refined to
+    width < 1/(2 lc); a root m/lc inside it is then within 1/(4 lc) of the
+    midpoint, so m is the midpoint times lc, rounded."""
+    sf = square_free_part(q)
+    lc = sf.lc()
+    out = []
+    for iv in isolate_real_roots(sf):
+        lo, hi = refine_root(sf, iv, Fraction(1, 2 * lc))
+        out.append(Fraction(round((lo + hi) / 2 * lc), lc))
+    return out
 
 
 def _divisors(n: int) -> list[int]:
@@ -711,6 +773,11 @@ def irreducible_over_Q(p: UniPoly, prime_bound: int = 500) -> IrreducibilityVerd
     Reports the lowest prime leaving p irreducible mod that prime, or a
     rational root, or an honest Inconclusive.  Never claims reducibility
     without a rational-root witness.
+
+    At the first prime where p has a repeated factor, gcd(p, p') over Q is
+    computed once.  If it is nonconstant, p has a repeated factor at every
+    prime not dividing lc(p), so none can be a witness: Inconclusive at
+    once, without factoring at the remaining primes.
     """
     if p.is_zero() or p.degree() < 1:
         raise ValueError("irreducibility test needs a nonconstant polynomial")
@@ -720,11 +787,17 @@ def irreducible_over_Q(p: UniPoly, prime_bound: int = 500) -> IrreducibilityVerd
         if roots:
             return IrreducibilityVerdict("rational_root", root=roots[0])
     d = q.degree()
+    square_free = None
     for prime in primes(prime_bound):
         if q.lc() % prime == 0:
             continue
-        if factor_mod_p(q, prime) == ((d, 1),):
+        pattern = factor_mod_p(q, prime)
+        if pattern == ((d, 1),):
             return IrreducibilityVerdict("irreducible", witness=prime)
+        if square_free is None and any(mult > 1 for _, mult in pattern):
+            square_free = gcd(q, q.derivative()).degree() == 0
+            if not square_free:
+                break
     return IrreducibilityVerdict("inconclusive")
 
 
