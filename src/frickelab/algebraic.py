@@ -22,6 +22,7 @@ from .poly import (
     UniPoly,
     _is_small_prime,
     _power,
+    _prime_table,
     _qpoly_divmod,
     _square_free_count,
     _sturm_counts,
@@ -30,7 +31,6 @@ from .poly import (
     format_poly,
     gcd,
     irreducible_over_Q,
-    primes,
     rational_roots,
     refine_root,
     square_free_part,
@@ -526,7 +526,7 @@ def galois_cycle_types(p: UniPoly, prime_bound: int = 500) -> GaloisCertificate:
     disc = discriminant(q)
     samples = tuple(
         (prime, tuple(sorted(d for d, mult in factor_mod_p(q, prime) for _ in range(mult))))
-        for prime in primes(prime_bound)
+        for prime in _prime_table(prime_bound)
         if q.lc() % prime and disc % prime
     )
     witness = next((prime for prime, pat in samples if pat == (n,)), None)

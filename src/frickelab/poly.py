@@ -7,24 +7,36 @@ factor-degree patterns mod p, and witness-based irreducibility.
 
 A pattern mod p comes from one distinct-degree pass that also peels off
 multiplicities, so repeated and inseparable factors need no square-free
-decomposition over F_p.  That pass works on one representation throughout:
-a polynomial over F_p of degree < 2n is a single int with coefficient i in
-bits [iw, (i + 1)w), so a sum or product of polynomials is one sum or
-product of ints (Kronecker substitution).  The slots are sized so that
-every value an operation leaves in them stays below n(p - 1)^2 + p; then
-all slots are reduced mod p at once by
+decomposition over F_p.  The pass takes the degrees in doubling blocks
+[1], [2, 3], [4, 7], [8, 15], ...: one gcd of the remaining polynomial
+with the product of x^(p^k) - x over the block finds every factor whose
+degree lies in it, since below 2d no other multiple of a degree >= d
+fits, and a block without any costs that one gcd (Kaltofen & Shoup's
+blocking, with blocks that double).
+
+The pass works on one representation throughout: a polynomial over F_p of
+degree < 2n is a single int with coefficient i in bits [iw, (i + 1)w), so
+a sum or product of polynomials is one sum or product of ints (Kronecker
+substitution).  The slots are sized so that every value an operation
+leaves in them stays below n(p - 1)^2 + p; then all slots are reduced mod
+p at once by
 
     v - p * (((v * mu) >> t) & M),   mu = ceil(2^t / p),  2^t > p * slot,
 
-with M keeping the low w - t bits of each slot (_slot_reducer).  Euclid's
-gcd and exact division add one shifted multiple of the divisor per
-quotient term and reduce once per division; a product is reduced mod f by
-polynomial Barrett reduction, its quotient read off one product with the
-precomputed x^(2n-1) div f (_gf_ddf_degrees).
+with M keeping the low w - t bits of each slot (_slot_reducer).  A Euclid
+step between degrees m + 1 and m reads its two quotient coefficients as
+scalars from the top two slots and subtracts (q1 x + q0) b in one
+multiply; other divisions add one shifted multiple of the divisor per
+quotient term, and each division reduces once.  A product is reduced mod f
+by polynomial Barrett reduction, its quotient read off one product with
+the precomputed x^(2n-1) div f.  x^p mod f starts as a shift by the
+leading bits of p whose value is < n, then squares once per further bit
+(_gf_ddf_degrees).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -526,34 +538,30 @@ def _slot_reducer(n: int, p: int):
     return w, reduce
 
 
-class _Residue:
-    """A packed residue whose * is the given mulmod, so _power can raise it."""
-
-    __slots__ = ("v", "mulmod")
-
-    def __init__(self, v: int, mulmod):
-        self.v, self.mulmod = v, mulmod
-
-    def __mul__(self, other: "_Residue") -> "_Residue":
-        return _Residue(self.mulmod(self.v, other.v), self.mulmod)
-
-
 def _gf_ddf_degrees(coeffs: tuple[int, ...], p: int) -> list[tuple[int, int]]:
     """(degree, multiplicity) of each irreducible factor over F_p of the
     polynomial with these ascending coefficients, p not dividing the last.
 
     One distinct-degree pass driven by the Frobenius matrix: row i is
-    x^(ip) mod f, so h -> h^p mod f is one sum of rows.  h_d = x^(p^d) mod
-    f stays valid modulo every divisor of f, and x^(p^d) - x is the
-    square-free product of the monic irreducibles of degree dividing d.
-    Once the lower degrees are gone from rest, g = gcd(rest, h_d - x) is
-    therefore the product of the distinct degree-d factors of rest, each
-    once, whatever their multiplicities.  Peeling one power per round,
-    rest <- rest / g and then g <- gcd(rest, g), the factors that drop out
-    of g in round m have multiplicity m.  The pass stops when deg rest <
-    2d: every factor left has degree >= d, so rest is 1 or a single
-    irreducible of multiplicity 1.  Only degrees are read, so no gcd or
-    quotient is made monic.
+    x^(ip) mod f, so h -> h^p mod f is one sum of rows.  h_k = x^(p^k) mod
+    f stays valid modulo every divisor of f, and x^(p^k) - x is the
+    square-free product of the monic irreducibles of degree dividing k.
+
+    The degrees are taken in doubling blocks [d, e], e = min(2d - 1,
+    deg rest / 2): [1], [2, 3], [4, 7], [8, 15], ...  Every factor of
+    degree < d has already left rest, and an irreducible of degree in
+    [d, e] divides x^(p^k) - x for k in the block only at k = its degree,
+    the one multiple of its degree below 2d.  So one gcd
+    G = gcd(rest, prod_k (h_k - x) mod f) is the square-free product of
+    the distinct factors of rest with degree in the block, and a block
+    without any costs that one gcd.  G is split degree by degree: while
+    deg G >= 2k, g = gcd(G, h_k - x) holds its factors of degree k; once
+    deg G < 2k, G is 1 or a single irreducible of degree deg G.  Peeling
+    one power per round, rest <- rest / g and then g <- gcd(rest, g), the
+    factors that drop out of g in round m have multiplicity m.  The pass
+    stops when deg rest < 2d: every factor left has degree >= d, so rest is
+    1 or a single irreducible of multiplicity 1.  Only degrees are read,
+    so no gcd or quotient is made monic.
 
     No square-free decomposition comes first, so an inseparable f = h(x^p)
     needs no p-th root: the gcds never use f', and peeling counts the
@@ -571,11 +579,21 @@ def _gf_ddf_degrees(coeffs: tuple[int, ...], p: int) -> list[tuple[int, int]]:
       a slot gains at most (p - 1)^2 per term.  Every division here has at
       most n terms.  The cleared top slots are masked off, and the
       remainder is reduced once, at the end.
+    - a Euclid step from a of degree m + 1 to b of degree m, the common
+      case: the quotient q1 x + q0 is read as two scalars from the top two
+      slots of a and b, and a + ((p - q1) x + (-q0 mod p)) b is one packed
+      multiply, (p - 1) + 2(p - 1)^2 per slot.
     A product c = c1 x^n + c0 (deg c <= 2n - 2) is reduced mod f by
     polynomial Barrett reduction.  With u = x^(2n-1) div f, computed once,
     the quotient c div f is exactly q = (c1 u) div x^(n-1), and c mod f is
     the low n slots of c0 - q f.  These are computed as c0 + q (-f mod p),
     so no slot goes negative: three multiplies and three reductions.
+
+    x^p mod f is built from p's bits left to right.  The longest leading
+    run of bits whose value m is < n gives x^m as one shift, already
+    reduced.  Each further bit squares (one mulmod), and a set bit then
+    shifts by one slot and clears slot n with c x^n = c lc^-1 (-f mod p)
+    (p - 1 + (p - 1)^2 per slot).  For p < n no multiply runs at all.
     """
     n = len(coeffs) - 1
     if n == 1:
@@ -601,8 +619,19 @@ def _gf_ddf_degrees(coeffs: tuple[int, ...], p: int) -> list[tuple[int, int]]:
         return q, a & ((1 << db * w) - 1)
 
     def gcd(a: int, b: int) -> int:
+        at = (a.bit_length() - 1) // w * w  # the offset of a's top slot
         while b >> w:
-            a, b = b, reduce(divide(a, b)[1])
+            bt = (b.bit_length() - 1) // w * w
+            if at == bt + w:
+                # the quotient q1 x + q0 from the top two slots; q b is
+                # subtracted as one multiply by (p - q1) x + (-q0 mod p)
+                inv = pow(b >> bt, -1, p)
+                q1 = (a >> at) * inv % p
+                q0 = ((a >> bt & slot) - q1 * (b >> bt - w & slot)) * inv % p
+                r = (a + ((p - q1 << w) + -q0 % p) * b) & ((1 << bt) - 1)
+            else:
+                r = divide(a, b)[1]
+            a, b, at = b, reduce(r), bt
         return 1 if b else a
 
     f = _pack([c % p for c in coeffs], w)
@@ -614,29 +643,52 @@ def _gf_ddf_degrees(coeffs: tuple[int, ...], p: int) -> list[tuple[int, int]]:
         q = reduce((c >> n * w) * barrett >> (n - 1) * w)
         return reduce((c & low) + (q * negf & low))
 
-    xp = _power(_Residue(1 << w, mulmod), p, _Residue(1, mulmod)).v
+    s = 0
+    while p >> s >= n:
+        s += 1
+    xp, lc_inv = 1 << (p >> s) * w, pow(coeffs[-1], -1, p)
+    for i in range(s - 1, -1, -1):
+        xp = mulmod(xp, xp)
+        if p >> i & 1:
+            xp <<= w
+            xp = reduce((xp & low) + (xp >> n * w) * lc_inv % p * negf)
     rows = [1, xp]
 
     out = []
     rest, h, d = f, xp, 1
-    while True:  # deg rest = n >= 2d at d = 1
-        g, m = gcd(rest, reduce(h + (p - 1 << w))), 1
-        while g >> w:
-            rest = divide(rest, g)[0]
-            left = gcd(rest, g)
-            out += [(d, m)] * ((deg(g) - deg(left)) // d)
-            g, m = left, m + 1
-        d += 1
-        if deg(rest) < 2 * d:
-            break
-        # the Frobenius rows, built only once some h_d with d >= 2 is needed
-        while len(rows) < n:
-            rows.append(mulmod(rows[-1], xp))
-        acc = 0
-        for row in rows:
-            acc += (h & slot) * row
-            h >>= w
-        h = reduce(acc)
+    while deg(rest) >= 2 * d:
+        e = min(2 * d - 1, deg(rest) // 2)
+        hx = []
+        for k in range(d, e + 1):
+            if k > 1:
+                # the Frobenius rows, built only once some h_k with k >= 2 is needed
+                while len(rows) < n:
+                    rows.append(mulmod(rows[-1], xp))
+                frob = 0
+                for row in rows:
+                    frob += (h & slot) * row
+                    h >>= w
+                h = reduce(frob)
+            hx.append(reduce(h + (p - 1 << w)))
+        acc = hx[0]
+        for v in hx[1:]:
+            acc = mulmod(acc, v)
+        found = gcd(rest, acc)
+        for k, v in zip(range(d, e + 1), hx):
+            if deg(found) < 2 * k:
+                g, k, found = found, deg(found), 1
+            else:
+                g = gcd(v, found)
+                found = divide(found, g)[0]
+            m = 1
+            while g >> w:
+                rest = divide(rest, g)[0]
+                left = gcd(rest, g)
+                out += [(k, m)] * ((deg(g) - deg(left)) // k)
+                g, m = left, m + 1
+            if not found >> w:
+                break
+        d = e + 1
     if rest >> w:
         out.append((deg(rest), 1))
     return out
@@ -673,15 +725,23 @@ def factor_mod_p(p: UniPoly, prime: int) -> tuple[tuple[int, int], ...]:
 
 
 def primes(bound: int) -> list[int]:
-    """The primes <= bound, ascending (Eratosthenes, composites struck by slice)."""
+    """The primes <= bound, ascending, as a fresh list."""
+    return list(_prime_table(bound))
+
+
+@functools.lru_cache(maxsize=8)
+def _prime_table(bound: int) -> tuple[int, ...]:
+    """The primes <= bound (Eratosthenes, composites struck by slice),
+    sieved once per bound: Galois sampling and the irreducibility search
+    walk the same table on every call."""
     if bound < 2:
-        return []
+        return ()
     sieve = bytearray([1]) * (bound + 1)
     sieve[:2] = b"\0\0"
     for n in range(2, math.isqrt(bound) + 1):
         if sieve[n]:
             sieve[n * n::n] = bytes(len(range(n * n, bound + 1, n)))
-    return list(compress(range(bound + 1), sieve))
+    return tuple(compress(range(bound + 1), sieve))
 
 
 # -- rational roots and irreducibility ---------------------------------------
@@ -788,7 +848,7 @@ def irreducible_over_Q(p: UniPoly, prime_bound: int = 500) -> IrreducibilityVerd
             return IrreducibilityVerdict("rational_root", root=roots[0])
     d = q.degree()
     square_free = None
-    for prime in primes(prime_bound):
+    for prime in _prime_table(prime_bound):
         if q.lc() % prime == 0:
             continue
         pattern = factor_mod_p(q, prime)

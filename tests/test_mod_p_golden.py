@@ -3,8 +3,11 @@ below 500, Dedekind samples and irreducibility verdicts.
 
 The digests were taken from the implementation that ran a square-free
 decomposition over F_p before its distinct-degree pass; the single pass
-that peels multiplicities must reproduce them exactly.  `primes` is checked
-against trial division.
+that peels multiplicities must reproduce them exactly.  The entries of
+degree 24, 33 and 40 and the product with multiplicities on degrees 4 to 7
+were taken from the pass that went one degree at a time, before degrees
+were taken in blocks [d, 2d - 1].  `primes` is checked against trial
+division.
 """
 
 import hashlib
@@ -22,11 +25,14 @@ QUINTIC = UniPoly([-4, 4, 3, -4, -2, 1])
 def _inputs():
     rng = random.Random(1009)
     out = {"quintic": QUINTIC}
-    for d in (12, 17, 20):
+    for d in (12, 17, 20, 24, 33, 40):
         out[f"monic{d}"] = UniPoly([rng.randint(-30, 30) for _ in range(d)] + [1])
     out["x4+1"] = UniPoly([1, 0, 0, 0, 1])
     out["quintic*(x^5-x-1)"] = QUINTIC * UniPoly([-1, -1, 0, 0, 0, 1])
     out["quintic^2"] = QUINTIC * QUINTIC
+    # multiplicities on factors of degree 4 to 7, the block [4, 7]
+    m4, m5, m6, m7 = (UniPoly([rng.randint(-30, 30) for _ in range(d)] + [1]) for d in (4, 5, 6, 7))
+    out["m4^2*m5*m6*m7^3"] = m4 * m4 * m5 * m6 * m7 ** 3
     return out
 
 
@@ -66,6 +72,26 @@ GOLDEN = {
         "539dd65805bf92f9ca826dca28fe97fc2604227cbb0bf0c3c5c300b1c8ec89a0",
         "3f450de49d217f9e4fbe5ff7c659bb24422d3b98c526209f2e45694b50fac592",
         "663c3f978a18cbe93f422859a9625675fd19da472a2a6ccb9ca58718589947b5",
+    ),
+    "monic24": (
+        "63d3bcc2711590d0c4a1cb8606e9178a4db3e45c209ff2b4e219ced8136af0db",
+        "cd53e87c6a7aa0547ca5b20e3d2360d8999b6579241cdd5c398964a249707312",
+        "b1c92aab7736033f19bd2c77161f75538545bd38cbfa6139d1f719df8a91c8aa",
+    ),
+    "monic33": (
+        "7da9982b8083761c6c19bffb4a6d7b748f977f2bf3ac2b7de6a22b8055910415",
+        "60d7cb081cc614f3c14ad157de9aaf103dd15fda6894d2ae62b662a6243d096b",
+        "c241e69e1e4c64d1616f14c41979ca3ff1715ac7a9d58f6dce088c4b49e1d837",
+    ),
+    "monic40": (
+        "d8581ef0c6e0f738289effa4010590865a3ff64efb56f4c4c8ea5d6b06798f06",
+        "3f450de49d217f9e4fbe5ff7c659bb24422d3b98c526209f2e45694b50fac592",
+        "b65677f2b5086acb354f9da3ee7a5a6d9d17d61a2daad89240235a2167544c5c",
+    ),
+    "m4^2*m5*m6*m7^3": (
+        "e32adefe9a771c4bad11255b9515b1482dec4aaa4c433cf5e175d6e44455698d",
+        "b5ee3b56bd4deddce3d457a6148015f075c3d697bae8f7321217688601380e9f",
+        "c4f17b9963880ae572bd525250f9c5b6a32dd6cb5f84a9ccc06884687c698922",
     ),
 }
 
