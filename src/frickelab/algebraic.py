@@ -24,7 +24,6 @@ from .poly import (
     _power,
     _prime_table,
     _qpoly_divmod,
-    _square_free_count,
     _sturm_counts,
     discriminant,
     factor_mod_p,
@@ -35,6 +34,7 @@ from .poly import (
     refine_root,
     square_free_part,
     sturm_chain,
+    sturm_count,
     NEG_INF,
     POS_INF,
 )
@@ -107,7 +107,7 @@ def make_algebraic(p: UniPoly, hint: tuple) -> AlgebraicReal:
     lo, hi = Fraction(hint[0]), Fraction(hint[1])
     if sf.degree() < 1:
         raise IsolationError(f"({lo}, {hi}) contains 0 roots of a constant", count=0)
-    count = _square_free_count(sf, lo, hi)
+    count = sturm_count(sf, lo, hi)
     if count != 1:
         raise IsolationError(
             f"interval ({lo}, {hi}) contains {count} roots of {format_poly(sf)}, expected 1",
@@ -285,34 +285,27 @@ class FieldElement:
             return self.inverse() ** (-n)
         return _power(self, n, self.field.from_rational(1))
 
-    def interval(self, eps) -> RatInterval:
-        """Enclosure of width < eps, refining the field generator as needed.
-
-        Horner runs on the integer numerators; scaling by the positive
-        denominator commutes with interval products, so dividing the
-        endpoints once gives the enclosure of the rational coefficients.
-        """
-        eps = Fraction(eps) * self._den
+    def _enclosures(self):
+        """Interval Horner of the numerators on theta's isolating interval,
+        halved between enclosures: the element's enclosures times its
+        positive denominator, which commutes with interval products."""
         root = self.field.root
         while True:
-            iv = _horner_interval(self._nums, root.interval())
-            if iv.width() < eps:
-                return RatInterval(iv.lo / self._den, iv.hi / self._den)
+            yield _horner_interval(self._nums, root.interval())
             root = root.refined((root.hi - root.lo) / 2)
+
+    def interval(self, eps) -> RatInterval:
+        """Enclosure of width < eps, refining the field generator as needed."""
+        eps = Fraction(eps) * self._den
+        iv = next(iv for iv in self._enclosures() if iv.width() < eps)
+        return RatInterval(iv.lo / self._den, iv.hi / self._den)
 
     def sign(self) -> int:
         """Exact sign; terminates because nonzero elements cannot vanish at theta."""
         if self.is_zero():
             return 0
-        root = self.field.root
-        while True:
-            # the numerators alone: the denominator is positive
-            iv = _horner_interval(self._nums, root.interval())
-            if iv.lo > 0:
-                return 1
-            if iv.hi < 0:
-                return -1
-            root = root.refined((root.hi - root.lo) / 2)
+        iv = next(iv for iv in self._enclosures() if iv.lo > 0 or iv.hi < 0)
+        return 1 if iv.lo > 0 else -1
 
     def cmp_rational(self, q) -> int:
         return (self - Fraction(q)).sign()
@@ -457,15 +450,13 @@ def is_salem(p: UniPoly) -> SalemVerdict:
         return SalemVerdict("NotSalem", "degenerate: degree below 4 has no circle conjugates", evidence)
     if tuple(reversed(p.coeffs)) != p.coeffs:
         return SalemVerdict("NotSalem", "not reciprocal (coefficients not palindromic)", evidence)
-    if p.evaluate(1) == 0 or p.evaluate(-1) == 0:
+    if p.sign_at(1) == 0 or p.sign_at(-1) == 0:
         return SalemVerdict("NotSalem", "root at t = 1 or t = -1 (reducible cyclotomic factor)", evidence)
     m = deg // 2
     h = salem_inverse_transform(p)
     evidence["h_polynomial"] = format_poly(h)
     # h(2) = p(1) and h(-2) = p(-1) are nonzero, so +-2 are safe endpoints
-    window, above = _sturm_counts(
-        sturm_chain(square_free_part(h)), Fraction(-2), Fraction(2), POS_INF
-    )
+    window, above = _sturm_counts(sturm_chain(h), Fraction(-2), Fraction(2), POS_INF)
     evidence.update(h_roots_above_2=above, h_roots_in_window=window, h_degree=m)
     if above == 0 and window == m:
         return SalemVerdict("NotSalem", "all roots lie on the unit circle, none outside", evidence)
@@ -587,12 +578,12 @@ def non_arithmeticity_report(p: UniPoly, prime_bound: int = 500) -> NonArithmeti
     else:
         lines.append(f"irreducibility: {cert.irreducibility.status}")
     lines.append(f"galois: {cert.conclusion}")
+    # the samples factor the square-free part: each pattern sums to its degree
+    n = sum(cert.samples[0][1]) if cert.samples else deg
+    if n <= 4:
+        lines.append("conclusion: solvable Galois group; this test is silent")
+        return NonArithmeticityReport(tuple(lines), "Silent", cert)
     if cert.is_full_symmetric():
-        # the samples factor the square-free part: each pattern sums to its degree
-        n = sum(cert.samples[0][1])
-        if n <= 4:
-            lines.append("conclusion: solvable Galois group; this test is silent")
-            return NonArithmeticityReport(tuple(lines), "Silent", cert)
         lines.extend(
             [
                 f"consequence: S{n} is not solvable, so the root is not expressible by radicals",

@@ -5,6 +5,10 @@ arithmetic throughout, no floating point.  Provides a primitive-PRS gcd,
 resultants, Sturm chains, real root isolation/refinement by bisection,
 factor-degree patterns mod p, and witness-based irreducibility.
 
+Sturm counts need no square-free part (_sturm_counts).  Square-free
+parts serve where that polynomial itself is needed: refinement by sign
+changes, algebraic reals and Galois samples.
+
 A pattern mod p comes from one distinct-degree pass that also peels off
 multiplicities, so repeated and inseparable factors need no square-free
 decomposition over F_p.  The pass takes the degrees in doubling blocks
@@ -378,19 +382,18 @@ def sturm_chain(p: UniPoly) -> list[UniPoly]:
 
 def _sign_at_point(p: UniPoly, t) -> int:
     if t is NEG_INF:
-        if p.is_zero():
-            return 0
         return (1 if p.lc() > 0 else -1) * (-1) ** p.degree()
     if t is POS_INF:
-        if p.is_zero():
-            return 0
         return 1 if p.lc() > 0 else -1
     return p.sign_at(t)
 
 
 def _sturm_counts(chain: list[UniPoly], *points) -> list[int]:
     """Distinct roots of chain[0] between each pair of consecutive points
-    (ascending, none of them a root): the drops in sign variations."""
+    (ascending, none of them a root): the drops in sign variations.
+    chain[0] = p need not be square-free: every term is a multiple of the
+    last, gcd(p, p'), which is nonzero off the roots of p, so dividing it
+    out (leaving the chain of the square-free part) changes no variation."""
     v = []
     for t in points:
         signs = [s for s in (_sign_at_point(p, t) for p in chain) if s != 0]
@@ -405,20 +408,12 @@ def sturm_count(p: UniPoly, lo, hi) -> int:
     """
     if p.is_zero():
         raise ValueError("root counting needs a nonzero polynomial")
-    sf = square_free_part(p)
-    if sf.degree() == 0:
-        return 0
-    return _square_free_count(sf, lo, hi)
-
-
-def _square_free_count(sf: UniPoly, lo, hi) -> int:
-    """sturm_count for sf already square-free and of degree >= 1."""
     if lo is not NEG_INF and hi is not POS_INF and Fraction(lo) >= Fraction(hi):
         raise ValueError("empty interval: lo must be less than hi")
     for t, name in ((lo, "lo"), (hi, "hi")):
-        if t is not NEG_INF and t is not POS_INF and sf.sign_at(t) == 0:
+        if t is not NEG_INF and t is not POS_INF and p.sign_at(t) == 0:
             raise EndpointRootError(f"endpoint {name}={t} is a root; perturb it rationally")
-    return _sturm_counts(sturm_chain(sf), lo, hi)[0]
+    return _sturm_counts(sturm_chain(p), lo, hi)[0]
 
 
 def root_bound(p: UniPoly) -> Fraction:
@@ -426,7 +421,7 @@ def root_bound(p: UniPoly) -> Fraction:
     if p.is_zero() or p.degree() < 1:
         raise ValueError("root bound needs degree >= 1")
     lead = abs(p.lc())
-    m = max(abs(c) for c in p.coeffs[:-1]) if p.degree() >= 1 else 0
+    m = max(abs(c) for c in p.coeffs[:-1])
     return 1 + Fraction(m, lead)
 
 

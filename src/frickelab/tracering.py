@@ -29,6 +29,10 @@ l1 norms of c0, c1, c2, c3, and note ||X|| = ||Y|| = ||Z|| = 1 and
 new ones with total weights 1, 2, 5, 3, so N grows at most 5-fold; for A
 the weights are 2, 1, 4, 4, for b 1, 1, 2, 2 and for B 2, 2, 1, 1.  N
 starts at 1, and 2 c0 + X c1 + Y c2 + Z c3 at most doubles it.
+
+The signed-term text `2*X^2*Z - Y + 3` of trace and variety polynomials
+lives here too: _format_signed_terms prints it, _parse_signed_terms reads
+it for parse_tracepoly and variety.parse_variety_poly.
 """
 
 from __future__ import annotations
@@ -221,8 +225,34 @@ def _split_signed_terms(text: str) -> list[tuple[int, str]]:
     return terms
 
 
+def _parse_signed_terms(text: str, variable, number) -> list[tuple[dict[str, int], object]]:
+    """(exponents by variable name, coefficient) per term of `2*X^2*Z - Y + 3`.
+    variable(factor) matches a variable factor (name in group 1, exponent
+    for int() in group 2, 1 if absent) or returns None; other factors are
+    coefficients, read by number."""
+    terms = []
+    for sign, term in _split_signed_terms(text):
+        exps, coeff = {}, number(sign)
+        for factor in term.split("*"):
+            factor = factor.strip()
+            if not factor:
+                raise ValueError(f"empty factor in {term!r}")
+            m = variable(factor)
+            if m:
+                name, exp = m.groups("1")
+                exps[name] = exps.get(name, 0) + int(exp)
+            else:
+                coeff *= number(factor)
+        terms.append((exps, coeff))
+    return terms
+
+
 def format_tracepoly(p: TracePoly) -> str:
     return _format_signed_terms(p.terms, "XYZ")
+
+
+# the exponent is whatever int() reads, spaces and underscores included
+_TRACE_VARIABLE = re.compile(r"([XYZ])(?:\^(.*))?", re.S)
 
 
 def parse_tracepoly(text: str) -> TracePoly:
@@ -230,29 +260,11 @@ def parse_tracepoly(text: str) -> TracePoly:
     text = text.strip()
     if not text:
         raise ValueError("empty trace polynomial text")
-    chunks = _split_signed_terms(text)
-    out = TracePoly()
-    for sgn, chunk in chunks:
-        coeff = sgn
-        mono = [0, 0, 0]
-        for factor in chunk.split("*"):
-            factor = factor.strip()
-            if not factor:
-                raise ValueError(f"empty factor in term {chunk!r}")
-            if factor[0] in "XYZ":
-                idx = "XYZ".index(factor[0])
-                rest = factor[1:]
-                if rest == "":
-                    exp = 1
-                elif rest.startswith("^"):
-                    exp = int(rest[1:])
-                else:
-                    raise ValueError(f"bad variable factor {factor!r}")
-                mono[idx] += exp
-            else:
-                coeff *= int(factor)
-        out = out + TracePoly({tuple(mono): coeff})
-    return out
+    terms: dict[Monomial, int] = {}
+    for exps, coeff in _parse_signed_terms(text, _TRACE_VARIABLE.fullmatch, int):
+        mono = tuple(exps.get(name, 0) for name in "XYZ")
+        terms[mono] = terms.get(mono, 0) + coeff
+    return TracePoly(terms)
 
 
 # -- the trace pass ------------------------------------------------------------

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .algebraic import SalemVerdict, _horner_interval, is_geometric_salem
 from .fricke import EvalResult, FrickePoint, evaluate_at_point, trace_of
 from .poly import UniPoly, format_poly
-from .tracering import TracePoly, _format_signed_terms, _split_signed_terms, trace_polynomial
+from .tracering import TracePoly, _format_signed_terms, _parse_signed_terms, trace_polynomial
 from .words import Word, concat
 
 Exponents = tuple[int, ...]
@@ -80,7 +80,15 @@ def format_variety_poly(F: VarietyPolynomial) -> str:
     return _format_signed_terms(F.terms, [f"X{i + 1}" for i in range(F.arity)])
 
 
-_VAR_RE = re.compile(r"^X(\d+)(?:\^(\d+))?$")
+_VAR_RE = re.compile(r"X(\d+)(?:\^(\d+))?")
+
+
+def _variable(factor: str) -> Optional[re.Match]:
+    """Match of an `Xi` or `Xi^e` factor; index 0 is an error that quotes it."""
+    m = _VAR_RE.fullmatch(factor)
+    if m and int(m.group(1)) < 1:
+        raise ValueError(f"variable index must be >= 1 in {factor!r}")
+    return m
 
 
 def parse_variety_poly(text: str, arity: Optional[int] = None) -> VarietyPolynomial:
@@ -88,34 +96,18 @@ def parse_variety_poly(text: str, arity: Optional[int] = None) -> VarietyPolynom
     text = text.strip()
     if not text:
         raise ValueError("empty variety polynomial text")
-    chunks = _split_signed_terms(text)
-    raw_terms: list[tuple[dict[int, int], Fraction]] = []
-    top = 0
-    for sgn, chunk in chunks:
-        coeff = Fraction(sgn)
-        exps: dict[int, int] = {}
-        for factor in chunk.split("*"):
-            factor = factor.strip()
-            if not factor:
-                raise ValueError(f"empty factor in {chunk!r}")
-            m = _VAR_RE.match(factor)
-            if m:
-                idx = int(m.group(1))
-                if idx < 1:
-                    raise ValueError(f"variable index must be >= 1 in {factor!r}")
-                exp = int(m.group(2)) if m.group(2) else 1
-                exps[idx] = exps.get(idx, 0) + exp
-                top = max(top, idx)
-            else:
-                coeff *= Fraction(factor)
-        raw_terms.append((exps, coeff))
+    raw_terms = _parse_signed_terms(text, _variable, Fraction)
+    top = max((int(name) for exps, _ in raw_terms for name in exps), default=0)
     n = arity if arity is not None else max(top, 1)
     if top > n:
         raise ValueError(f"variable X{top} exceeds declared arity {n}")
     terms: dict[Exponents, Fraction] = {}
     for exps, coeff in raw_terms:
-        mono = tuple(exps.get(i + 1, 0) for i in range(n))
-        terms[mono] = terms.get(mono, Fraction(0)) + coeff
+        mono = [0] * n
+        for name, exp in exps.items():
+            mono[int(name) - 1] += exp
+        key = tuple(mono)
+        terms[key] = terms.get(key, Fraction(0)) + coeff
     return VarietyPolynomial(n, terms)
 
 
@@ -272,7 +264,7 @@ def check_rigidity_hypothesis(
 def _trace_is_root(tr: EvalResult, f: UniPoly, tol: Fraction) -> tuple[bool, bool]:
     """Whether f vanishes at the trace value; second flag marks exactness."""
     if tr.kind == "rational":
-        return f.evaluate(tr.value) == 0, True
+        return f.sign_at(tr.value) == 0, True
     if tr.kind == "field":
         value = tr.value
         acc = value.field.from_rational(0)

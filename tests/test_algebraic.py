@@ -12,7 +12,7 @@ from frickelab.algebraic import (
     salem_inverse_transform,
     salem_transform,
 )
-from frickelab.poly import IsolationError, UniPoly, irreducible_over_Q
+from frickelab.poly import IsolationError, UniPoly, irreducible_over_Q, square_free_part
 
 QUINTIC = UniPoly([-4, 4, 3, -4, -2, 1])
 QUADRATIC = UniPoly([-3, -1, 1])  # x^2 - x - 3, roots (1 +- sqrt 13)/2
@@ -211,3 +211,20 @@ def test_non_arithmeticity_report_reads_the_square_free_degree():
     rep = non_arithmeticity_report(UniPoly([-2, 0, 1]) ** 3)
     assert rep.certificate.conclusion == "FullSymmetric(2)"
     assert rep.verdict == "Silent"
+
+
+@pytest.mark.parametrize(
+    "p, conclusion",
+    [
+        (UniPoly([1, 1, 0, 0, 1]) ** 2, "ContainsNCycle(4)"),
+        (UniPoly([1, 0, 0, 0, 1]) ** 2, "Unknown"),
+        (UniPoly([0, 1]) ** 5, "ContainsNCycle(1)"),
+    ],
+)
+def test_non_arithmeticity_report_is_silent_when_the_square_free_part_has_degree_at_most_4(p, conclusion):
+    # every group of degree <= 4 is solvable, as for the square-free part alone
+    rep = non_arithmeticity_report(p)
+    assert rep.certificate.conclusion == conclusion
+    assert rep.verdict == "Silent"
+    assert rep.to_text().endswith("conclusion: solvable Galois group; this test is silent\nverdict: Silent")
+    assert non_arithmeticity_report(square_free_part(p)).verdict == "Silent"

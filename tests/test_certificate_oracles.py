@@ -16,7 +16,7 @@ from frickelab.algebraic import (
     salem_transform,
 )
 from frickelab.cli import main
-from frickelab.poly import UniPoly, irreducible_over_Q, isolate_real_roots, square_free_part
+from frickelab.poly import UniPoly, format_poly, irreducible_over_Q, isolate_real_roots, square_free_part
 
 from oracles import brute_force_factor_degrees, rational_sturm_count
 
@@ -133,6 +133,18 @@ def test_salem_counts_match_rational_sturm():
         assert ev["h_roots_above_2"] == rational_sturm_count(h, Fraction(2), m)
         checked += 1
     assert checked >= 100
+
+
+def test_salem_counts_distinct_roots_of_a_non_square_free_h():
+    # poly: 1 -5 10 -13 10 -5 1 is t^3 h(t + 1/t) with h = (t - 1)^2 (t - 3)
+    h = UniPoly([-3, 7, -5, 1])
+    assert h == UniPoly([-1, 1]) ** 2 * UniPoly([-3, 1])
+    verdict = is_salem(UniPoly([1, -5, 10, -13, 10, -5, 1]))
+    assert verdict.status == "NotSalem"
+    ev = verdict.evidence
+    assert ev["h_polynomial"] == format_poly(h)
+    assert ev["h_roots_in_window"] == rational_sturm_count(h, Fraction(-2), Fraction(2)) == 1
+    assert ev["h_roots_above_2"] == rational_sturm_count(h, Fraction(2), _outside_all_roots(h)) == 1
 
 
 # -- AlgebraicReal.cmp_rational without a Sturm chain ------------------------------------

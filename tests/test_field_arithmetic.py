@@ -6,6 +6,7 @@ and the z-field of sample_markov_point(3, 16/5), whose defining polynomial
 25z^2 - 240z + 481 is not monic.
 """
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -171,3 +172,30 @@ def test_property_against_oracle(name, ca, cb):
         assert _lowest_terms(e)
     if not b.is_zero():
         assert (a / b) * b == a
+
+
+# sha256 of the interval(2^-k) endpoints and sign() of seeded elements,
+# taken before interval() and sign() shared one refinement loop; the
+# elements theta - r, with r a rational within 2^-k of theta, need many
+# refinements before their sign shows
+ENCLOSURE_DIGESTS = {
+    "markov": "9d1dffe2a040f09bc08eaf4e5c5d68440a94f3c40802b3ca011087ad36f22cc0",
+    "quintic": "ab476695b695342da4c67918a5a7a9c73c44e53058f2c32927fae7d11563bdbf",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_enclosures_and_signs_match_pinned_digest(name):
+    field = FIELDS[name]
+    elements = [e for _, e in _seeded_elements(field, 53, count=20)]
+    for k in (10, 60, 150):
+        r = field.root.refined(Fraction(1, 2**k)).lo
+        elements += [field.gen() - r, (r - field.gen()) * field.element([Fraction(3, 7), 1])]
+    lines = []
+    for e in elements:
+        for k in (4, 30, 90, 200):
+            iv = e.interval(Fraction(1, 2**k))
+            lines.append(f"{k} {iv.lo} {iv.hi}")
+        lines.append(f"sign {e.sign()}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == ENCLOSURE_DIGESTS[name]

@@ -168,6 +168,37 @@ def test_sturm_count_endpoint_error():
         sturm_count(UniPoly([-4, 0, 1]), Fraction(2), Fraction(5))
 
 
+def _repeated_root_product(rng):
+    """a * b^2 * c^3 with a and b linear and c linear or quadratic, so p
+    has a real root of multiplicity 2 or more and is never square-free."""
+    a, b, c = (UniPoly([rng.randint(-6, 6) for _ in range(d)] + [rng.choice([1, 1, 2])]) for d in (1, 1, 2))
+    if rng.random() < 0.5:
+        c = UniPoly([rng.randint(-4, 4), 1])
+    return a * b ** 2 * c ** 3
+
+
+def test_sturm_count_without_square_free_part_matches_rational_chain():
+    # counting on p's own chain must give the distinct roots, as textbook
+    # Sturm counting over Fractions does, also for endpoints that lie
+    # between two repeated roots
+    rng = random.Random(1403)
+    checked = 0
+    for _ in range(150):
+        p = _repeated_root_product(rng)
+        ivs = isolate_real_roots(p)
+        assert sturm_count(p, NEG_INF, POS_INF) == len(ivs)
+        points = {Fraction(rng.randint(-40, 40), rng.choice([1, 2, 3])) for _ in range(4)}
+        points.update(t for iv in ivs for t in iv)
+        points = sorted(t for t in points if p.sign_at(t) != 0)
+        for lo, hi in zip(points, points[1:]):
+            assert sturm_count(p, lo, hi) == rational_sturm_count(p, lo, hi)
+            checked += 1
+        for (_, h1), (l2, _) in zip(ivs, ivs[1:]):
+            if h1 < l2:
+                assert sturm_count(p, h1, l2) == rational_sturm_count(p, h1, l2) == 0
+    assert checked >= 600
+
+
 def test_isolate_examples():
     ivs = isolate_real_roots(UniPoly([-2, 0, 1]))
     assert len(ivs) == 2

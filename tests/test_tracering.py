@@ -121,3 +121,36 @@ def test_format_and_parse():
 def test_parse_rejects_doubled_or_dangling_signs(text):
     with pytest.raises(ValueError):
         parse_tracepoly(text)
+
+
+# Strings each parser accepts or rejects, pinned so that the trace and
+# variety parsers keep their own grammars: integer coefficients and
+# exponents read by int() here, X1..Xn and Fraction coefficients there.
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("X^ 10", "X^10"),
+        ("X^1_0", "X^10"),
+        ("X^\n5", "X^5"),
+        ("3*X*X^2 - X^3", "2*X^3"),
+        ("2*X^2*Z - Y + 3", "2*X^2*Z - Y + 3"),
+        (" Z ", "Z"),
+        ("2.0*X", None),
+        ("1e2", None),
+        ("X - -Y", None),
+        ("X1 - X5", None),
+        ("X0 - X1", None),
+        ("1/2*X1 - 3/2*X2 + 1", None),
+        ("X1^", None),
+        ("X^", None),
+        ("XY", None),
+        ("X*", None),
+        ("", None),
+    ],
+)
+def test_parse_tracepoly_accepts_and_rejects(text, expected):
+    if expected is None:
+        with pytest.raises(ValueError):
+            parse_tracepoly(text)
+    else:
+        assert format_tracepoly(parse_tracepoly(text)) == expected

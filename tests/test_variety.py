@@ -204,3 +204,39 @@ def test_variety_poly_text():
     for text in ("", "--X1", "X1 - -X2", "X1 -+ X2", "X1 -"):
         with pytest.raises(ValueError):
             parse_variety_poly(text)
+
+
+# Strings parse_variety_poly accepts (with the arity it gives them) or
+# rejects (with its message), pinned so that the variety grammar stays its
+# own: X1..Xn with int exponents, coefficients read by Fraction.
+@pytest.mark.parametrize(
+    "text, arity, expected",
+    [
+        ("1/2*X1 - 3/2*X2 + 1", None, (2, "1/2*X1 - 3/2*X2 + 1")),
+        ("1e2", None, (1, "100")),
+        ("2.0*X1", None, (1, "2*X1")),
+        ("X01*X1", None, (1, "X1^2")),
+        ("X2^0", None, (2, "1")),
+        ("0*X1", None, (1, "0")),
+        ("+X1", 2, (2, "X1")),
+        ("X1 - X5", None, (5, "X1 - X5")),
+        ("X1 - X5", 2, "variable X5 exceeds declared arity 2"),
+        ("X0 - X1", None, "variable index must be >= 1 in 'X0'"),
+        ("X0*", None, "variable index must be >= 1 in 'X0'"),
+        ("X1*", None, "empty factor in 'X1*'"),
+        ("X - -Y", None, "sign without a term in 'X - -Y'"),
+        ("X^ 10", None, "Invalid literal for Fraction: 'X^ 10'"),
+        ("2.0*X", None, "Invalid literal for Fraction: 'X'"),
+        ("X1^", None, "Invalid literal for Fraction: 'X1^'"),
+        ("X1^ 10", None, "Invalid literal for Fraction: 'X1^ 10'"),
+        ("", None, "empty variety polynomial text"),
+    ],
+)
+def test_parse_variety_poly_accepts_and_rejects(text, arity, expected):
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as info:
+            parse_variety_poly(text, arity)
+        assert str(info.value) == expected
+    else:
+        F = parse_variety_poly(text, arity)
+        assert (F.arity, format_variety_poly(F)) == expected
