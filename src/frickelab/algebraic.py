@@ -287,8 +287,9 @@ class FieldElement:
 
     def _enclosures(self):
         """Interval Horner of the numerators on theta's isolating interval,
-        halved between enclosures: the element's enclosures times its
-        positive denominator, which commutes with interval products."""
+        quartered between enclosures (refining below half the width takes
+        two bisections): the element's enclosures times its positive
+        denominator, which commutes with interval products."""
         root = self.field.root
         while True:
             yield _horner_interval(self._nums, root.interval())

@@ -432,12 +432,12 @@ def main(argv=None) -> int:
             raw=args.raw,
         )
         return args.func(args, cfg)
+    except (PrecisionError, fricke.NonHyperbolicError) as exc:  # first: NonHyperbolicError is a ValueError
+        print(f"certification failure: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:  # includes UsageError and WordParseError
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (PrecisionError, fricke.NonHyperbolicError) as exc:
-        print(f"certification failure: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -22,9 +22,6 @@ from .poly import (
     _sylvester_rows,
     irreducible_over_Q,
     isolate_real_roots,
-    sturm_count,
-    NEG_INF,
-    POS_INF,
 )
 from .tracering import TracePoly, trace_in, trace_polynomial
 from .words import Word
@@ -352,11 +349,9 @@ def solve_pattern_system(precision_bits: int = 128) -> FrickePoint:
     aborts loudly; it would contradict the construction.
     """
     quintic = eliminate_pattern_system()
-    if sturm_count(quintic, NEG_INF, POS_INF) != 1:
-        raise AssertionError("pattern quintic must have exactly one real root")
     intervals = isolate_real_roots(quintic)
     if len(intervals) != 1:
-        raise AssertionError("isolation disagrees with the Sturm count")
+        raise AssertionError("pattern quintic must have exactly one real root")
     root = make_algebraic(quintic, intervals[0]).refined(Fraction(1, 2 ** precision_bits))
     irr = irreducible_over_Q(quintic, 200)
     if not irr.is_irreducible():
@@ -496,6 +491,10 @@ def sample_markov_point(x: Fraction, y: Fraction) -> Optional[FrickePoint]:
     d = (x * y) ** 2 - 4 * (x * x + y * y)
     if d <= 0:
         return None
+    sq = _fraction_sqrt(d)
+    if sq is not None:
+        # discriminant is a perfect square: z is rational
+        return FrickePoint.from_rationals(x, y, (x * y + sq) / 2)
     den = (x.denominator * y.denominator) ** 2
     zpoly = UniPoly(
         [
@@ -504,16 +503,8 @@ def sample_markov_point(x: Fraction, y: Fraction) -> Optional[FrickePoint]:
             den,
         ]
     )
-    roots = isolate_real_roots(zpoly)
-    if len(roots) != 2:
-        return None
-    z = make_algebraic(zpoly, roots[-1])
-    if z.cmp_rational(2) != 1:
-        return None
-    sq = _fraction_sqrt(d)
-    if sq is not None:
-        # discriminant is a perfect square: z is rational
-        return FrickePoint.from_rationals(x, y, (x * y + sq) / 2)
+    # d > 0, so z has two real roots; the larger, (xy + sqrt d)/2, exceeds xy/2 > 2
+    z = make_algebraic(zpoly, isolate_real_roots(zpoly)[-1])
     return FrickePoint.from_coords(x, y, z)
 
 

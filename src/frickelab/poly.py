@@ -425,17 +425,26 @@ def root_bound(p: UniPoly) -> Fraction:
     return 1 + Fraction(m, lead)
 
 
+def _split(p: UniPoly, lo: Fraction, hi: Fraction) -> tuple[Fraction, int]:
+    """Bisection's split point in (lo, hi) and p's sign there: the midpoint,
+    moved to (lo + mid)/2 while it is a root, so lo + (hi - lo)/2^k for the
+    least k >= 1 that is no root (there are finitely many)."""
+    mid = (lo + hi) / 2
+    sign = p.sign_at(mid)
+    while sign == 0:
+        mid = (lo + mid) / 2
+        sign = p.sign_at(mid)
+    return mid, sign
+
+
 def isolate_real_roots(p: UniPoly) -> list[tuple[Fraction, Fraction]]:
     """Disjoint open rational intervals, one per real root, ascending.
 
     Bisection of the Cauchy interval of the square-free part, driven by a
     worklist of (lo, hi, root count) triples popped depth first, left half
     first, so any depth runs in constant stack.  One Sturm count per split
-    gives the left count.  A midpoint that is itself a (rational) root is
-    stepped left by (hi - lo)/4, then by a further (hi - lo)/8, and so on,
-    which stays inside (lo, mid), until it is not a root; there are
-    finitely many roots, so this stops, and no split point or interval
-    endpoint is ever a root.
+    gives the left count; split points come from _split, so no endpoint is
+    ever a root.
     """
     if p.is_zero():
         raise ValueError("cannot isolate roots of the zero polynomial")
@@ -451,9 +460,7 @@ def isolate_real_roots(p: UniPoly) -> list[tuple[Fraction, Fraction]]:
         if k == 1:
             out.append((lo, hi))
         elif k > 1:
-            mid, step = (lo + hi) / 2, (hi - lo) / 4
-            while sf.sign_at(mid) == 0:
-                mid, step = mid - step, step / 2
+            mid, _ = _split(sf, lo, hi)
             kl = _sturm_counts(chain, lo, mid)[0]
             todo += [(mid, hi, k - kl), (lo, mid, kl)]
     # tighten for predictable downstream display; disjointness is preserved
@@ -461,7 +468,7 @@ def isolate_real_roots(p: UniPoly) -> list[tuple[Fraction, Fraction]]:
 
 
 def refine_root(p: UniPoly, interval: tuple[Fraction, Fraction], eps) -> tuple[Fraction, Fraction]:
-    """Bisect a sign-isolating interval down to width < eps.
+    """Bisect a sign-isolating interval down to width < eps by _split.
 
     The input must bracket exactly one simple root (opposite endpoint signs);
     the output keeps opposite endpoint signs.
@@ -476,15 +483,8 @@ def refine_root(p: UniPoly, interval: tuple[Fraction, Fraction], eps) -> tuple[F
             f"interval ({lo}, {hi}) does not sign-isolate a simple root of {format_poly(p)}"
         )
     while hi - lo >= eps:
-        mid = (lo + hi) / 2
-        sm = p.sign_at(mid)
-        if sm == 0:
-            # the root is exactly mid; emit a tiny straddling interval
-            delta = min(eps / 4, (mid - lo) / 2, (hi - mid) / 2)
-            while p.sign_at(mid - delta) != slo or p.sign_at(mid + delta) != shi:
-                delta /= 2
-            return (mid - delta, mid + delta)
-        if sm == slo:
+        mid, sign = _split(p, lo, hi)
+        if sign == slo:
             lo = mid
         else:
             hi = mid

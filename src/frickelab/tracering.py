@@ -242,7 +242,10 @@ def _parse_signed_terms(text: str, variable, number) -> list[tuple[dict[str, int
                 name, exp = m.groups("1")
                 exps[name] = exps.get(name, 0) + int(exp)
             else:
-                coeff *= number(factor)
+                try:
+                    coeff *= number(factor)
+                except ZeroDivisionError:
+                    raise ValueError(f"zero denominator in {factor!r}") from None
         terms.append((exps, coeff))
     return terms
 

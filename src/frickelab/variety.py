@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .algebraic import SalemVerdict, _horner_interval, is_geometric_salem
+from .algebraic import SalemVerdict, is_geometric_salem
 from .fricke import EvalResult, FrickePoint, evaluate_at_point, trace_of
 from .poly import UniPoly, format_poly
 from .tracering import TracePoly, _format_signed_terms, _parse_signed_terms, trace_polynomial
@@ -263,16 +263,12 @@ def check_rigidity_hypothesis(
 
 def _trace_is_root(tr: EvalResult, f: UniPoly, tol: Fraction) -> tuple[bool, bool]:
     """Whether f vanishes at the trace value; second flag marks exactness."""
-    if tr.kind == "rational":
-        return f.sign_at(tr.value) == 0, True
-    if tr.kind == "field":
-        value = tr.value
-        acc = value.field.from_rational(0)
-        for c in reversed(f.coeffs):
-            acc = acc * value + c
-        return acc.is_zero(), True
-    acc = _horner_interval(f.coeffs, tr.value)
-    return -tol <= acc.lo and acc.hi <= tol, False
+    acc = 0 * tr.value
+    for c in reversed(f.coeffs):
+        acc = acc * tr.value + c
+    if tr.kind == "interval":
+        return -tol <= acc.lo and acc.hi <= tol, False
+    return EvalResult(tr.kind, acc).is_certified_zero(), True
 
 
 # -- randomized identity suite -----------------------------------------------------

@@ -278,6 +278,24 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
+def test_certification_failures_exit_1(capsys):
+    # NonHyperbolicError is a ValueError, but it is no usage error
+    code, out, err = run(capsys, "length", "1", "--point", "paper")
+    assert (code, out) == (1, "")
+    assert err == "certification failure: trace of 1 is not certified outside [-2, 2]: parabolic or elliptic element\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("variety", "check", "--poly", "1/0*X1", "--words", "a", "--point", "paper"),
+        ("variety", "identity-suite", "--poly", "1/0*X1*X2"),
+    ],
+)
+def test_zero_denominator_in_a_variety_coefficient_exits_2(capsys, argv):
+    assert run(capsys, *argv) == (2, "", "usage error: zero denominator in '1/0'\n")
+
+
 def test_config_validation(capsys):
     code, _, err = run(capsys, "quintic", "--precision-bits", "8")
     assert code == 2
@@ -393,3 +411,15 @@ def test_nonarith_of_a_cubed_quadratic_is_silent(capsys):
     assert "galois: FullSymmetric(2)\n" in out
     assert "not solvable" not in out
     assert out.endswith("conclusion: solvable Galois group; this test is silent\nverdict: Silent\n")
+
+
+def test_galois_of_x4_plus_1_is_unknown(capsys):
+    # x^4 + 1 factors mod every prime, so no prime witnesses irreducibility
+    code, out, _ = run(capsys, "galois", "poly:", "1", "0", "0", "0", "1")
+    assert code == 0
+    assert out == (
+        "irreducibility: inconclusive\n"
+        "samples: 94 primes up to 500\n"
+        "note: no irreducibility witness below 500\n"
+        "verdict: Unknown\n"
+    )

@@ -78,6 +78,15 @@ def test_evaluation_width_shrinks_with_input_width():
     assert all(w > 0 for w in widths)
 
 
+def test_in_teichmuller_interval_outside_tolerance():
+    # the Markov residual at (3, 3, 4) is -2, far outside any tolerance
+    box = [RatInterval(c - Fraction(1, 2 ** 101), c + Fraction(1, 2 ** 101)) for c in (3, 3, 4)]
+    cert = in_teichmuller(FrickePoint.from_intervals(*box), Fraction(1, 2 ** 96))
+    assert not cert.member
+    assert "markov residual: certified outside tolerance" in cert.lines
+    assert cert.to_text().endswith("verdict: NotMember")
+
+
 def test_in_teichmuller_interval_precision_error():
     wide = RatInterval(Fraction(29, 10), Fraction(3))
     pt = FrickePoint.from_intervals(wide, wide, RatInterval(Fraction(32, 10), Fraction(33, 10)))

@@ -8,9 +8,16 @@ checked against the textbook Fraction Sturm chain in `oracles`.
 """
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
+import pytest
+
+import frickelab
+from frickelab import poly
 from frickelab.poly import (
     UniPoly,
     isolate_real_roots,
@@ -87,3 +94,61 @@ def test_isolation_without_rational_roots_matches_pinned_digest():
         sf = square_free_part(p)
         result.append((p.coeffs, ivs, [refine_root(sf, iv, eps) for iv in ivs]))
     assert hashlib.sha256(repr(result).encode()).hexdigest() == GOLDEN
+
+
+def test_refine_root_moves_a_root_midpoint_left():
+    # 4x^3 - x has roots -1/2, 0, 1/2; (-1, 1) has opposite endpoint signs
+    # and its midpoint 0 is the middle root.  Run in a child process so
+    # that a bisection which never ends fails the test instead of hanging.
+    code = (
+        "from fractions import Fraction as F\n"
+        "from frickelab.poly import UniPoly, refine_root\n"
+        "print(*refine_root(UniPoly([0, -1, 0, 4]), (F(-1), F(1)), F(1, 1000)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(frickelab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    try:
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=20)
+    except subprocess.TimeoutExpired:
+        pytest.fail("refine_root did not return within 20 s")
+    assert proc.returncode == 0, proc.stderr
+    lo, hi = map(Fraction, proc.stdout.split())
+    p = UniPoly([0, -1, 0, 4])
+    assert -1 < lo < hi < 1 and hi - lo < Fraction(1, 1000)
+    assert p.sign_at(lo) * p.sign_at(hi) == -1
+    assert rational_sturm_count(p, lo, hi) == 1
+
+
+def test_split_rule_on_dyadic_rational_roots(monkeypatch):
+    # products with dyadic roots put roots on bisection midpoints: (-32, 32)
+    # around all of them and (r - 1/256, r + 1/256) around each one.  Every
+    # isolating and every refined interval still holds one root, with
+    # opposite endpoint signs.
+    moved = []
+
+    def recording_split(p, lo, hi):
+        mid, sign = split(p, lo, hi)
+        moved.append(mid != (lo + hi) / 2)
+        return mid, sign
+
+    split = poly._split
+    monkeypatch.setattr(poly, "_split", recording_split)
+    rng = random.Random(1501)
+    eps = Fraction(1, 2 ** 64)
+    for _ in range(40):
+        roots = {Fraction(rng.randint(-24, 24), 2 ** rng.randint(0, 4)) for _ in range(rng.randint(1, 5))}
+        p = rng.choice([UniPoly([1]), UniPoly([-2, 0, 1]), UniPoly([-1, -1, 1])])
+        for r in roots:
+            p = p * UniPoly([-r.numerator, r.denominator])
+        ivs = isolate_real_roots(p)
+        _check_isolating(p, ivs)
+        for r in roots:
+            assert sum(1 for lo, hi in ivs if lo < r < hi) == 1
+        starts = ivs + [(r - Fraction(1, 256), r + Fraction(1, 256)) for r in roots]
+        if p.sign_at(-32) != p.sign_at(32):
+            starts.append((Fraction(-32), Fraction(32)))
+        for lo, hi in (refine_root(p, iv, eps) for iv in starts):
+            assert hi - lo < eps
+            assert p.sign_at(lo) * p.sign_at(hi) == -1
+            assert rational_sturm_count(p, lo, hi) == 1
+    assert sum(moved) >= 100

@@ -5,6 +5,7 @@ import pytest
 
 from frickelab.algebraic import make_algebraic
 from frickelab.fricke import FrickePoint, sample_markov_point, solve_pattern_system
+from frickelab.intervals import RatInterval
 from frickelab.poly import UniPoly
 from frickelab.variety import (
     FUNDAMENTAL_IDENTITY,
@@ -145,6 +146,17 @@ def test_rigidity_hypothesis_examples():
     assert "verdict: NotSatisfied" in rep.to_text()
 
 
+def test_rigidity_hypothesis_at_an_interval_point():
+    # tr a is the box's x interval, 2^-100 wide around 3: x - 3 vanishes
+    # there within the default tolerance 2^-96, but not exactly
+    box = [RatInterval(3 - Fraction(1, 2 ** 101), 3 + Fraction(1, 2 ** 101))] * 3
+    rep = check_rigidity_hypothesis([a], {(1,): UniPoly([-3, 1])}, FrickePoint.from_intervals(*box))
+    assert rep.satisfied
+    assert rep.checks[0].trace_is_root and not rep.checks[0].exact
+    assert "root: certified (interval tolerance only)" in rep.to_text()
+    assert "verdict: Satisfied" in rep.to_text()
+
+
 def test_rigidity_hypothesis_missing_subset():
     with pytest.raises(ValueError) as exc:
         check_rigidity_hypothesis([a, b], {(1,): UniPoly([-3, 1])}, FrickePoint.from_rationals(3, 3, 3))
@@ -230,6 +242,8 @@ def test_variety_poly_text():
         ("X1^", None, "Invalid literal for Fraction: 'X1^'"),
         ("X1^ 10", None, "Invalid literal for Fraction: 'X1^ 10'"),
         ("", None, "empty variety polynomial text"),
+        ("1/0*X1", None, "zero denominator in '1/0'"),
+        ("X1 - 3*2/0*X2", None, "zero denominator in '2/0'"),
     ],
 )
 def test_parse_variety_poly_accepts_and_rejects(text, arity, expected):
