@@ -12,14 +12,21 @@ B^-1 = Y - B for the inverse letters.  trace_in multiplies the word out
 in this basis in one left-to-right pass and returns
 tr(w) = 2 c0 + X c1 + Y c2 + Z c3.
 
-trace_polynomial runs trace_in over a packed image of Z[X, Y, Z].  An
-element is a dict from one int key i | j << kbits, for the monomial
-X^i Y^j, to one int: that monomial's polynomial in Z evaluated at 2^s.
-Multiplying by X or Y adds to the keys, by Z shifts the values by s
-bits, and by Z - XY is one such shift plus one keyed subtraction.
-Z -> 2^s is a ring homomorphism, so the pass computes the image of
-tr(w), and a value that cancels to zero is zero in the image ring too.
-The image is decoded once, by reading balanced s-bit digits.
+trace_polynomial runs the same updates over a packed image of
+Z[X, Y, Z].  An element is a dict from one int key i + j * 2^32, for the
+monomial X^i Y^j, to one int: that monomial's polynomial in Z evaluated
+at 2^s.  Multiplying by X or Y adds a fixed offset to the keys, by Z
+shifts the values by s bits, and by W = Z - XY is one such shift plus one
+keyed subtraction.  The updates are one table of formulas, one per letter
+and new coefficient, each a signed sum of old coefficients times 1, X, Y,
+Z or W; it is resolved into key offsets and shift flags once, at import.
+A coefficient is a (dict, sign) pair, and each new one is built in one
+dict: a copy of its first source, moved, with the others added in place.
+A new coefficient that is an old one unmoved, such as c3 = -c2 for a, is
+that dict relabelled with a sign flip, not copied.  Z -> 2^s is a ring
+homomorphism, so the pass computes the image of tr(w), and a value that
+cancels to zero is zero in the image ring too.  The image is decoded
+once, by reading balanced s-bit digits.
 
 That decoding is exact when 2^(s-1) exceeds every coefficient of tr(w),
 so s comes from the bound ||tr w||_1 <= 2 * 5^n_a * 2^n_b, where n_a
@@ -47,35 +54,6 @@ from .words import Word
 Monomial = tuple[int, int, int]  # exponents of X, Y, Z
 
 
-class _Sparse:
-    """A dict of nonzero int values, with sums and negation.  TracePoly adds
-    products; trace_polynomial runs on it with packed keys and values."""
-
-    __slots__ = ("terms",)
-
-    @classmethod
-    def _trusted(cls, terms: dict):
-        """Wrap terms as they are: a fresh dict with no zero value."""
-        p = object.__new__(cls)
-        p.terms = terms
-        return p
-
-    def __add__(self, other):
-        a, b = self.terms, other.terms
-        if len(a) < len(b):
-            a, b = b, a
-        return self._trusted(_accumulate(dict(a), b.items(), 1))
-
-    def __sub__(self, other):
-        a, b = self.terms, other.terms
-        if len(a) < len(b):
-            return self._trusted(_accumulate({k: -v for k, v in b.items()}, a.items(), 1))
-        return self._trusted(_accumulate(dict(a), b.items(), -1))
-
-    def __neg__(self):
-        return self._trusted({k: -v for k, v in self.terms.items()})
-
-
 def _accumulate(out: dict, items, sign: int) -> dict:
     """out += sign * the (key, value) items, in place, dropping the keys
     that cancel."""
@@ -89,14 +67,21 @@ def _accumulate(out: dict, items, sign: int) -> dict:
     return out
 
 
-class TracePoly(_Sparse):
+class TracePoly:
     """Sparse integer polynomial in the trace coordinates X, Y, Z."""
 
-    __slots__ = ()
+    __slots__ = ("terms",)
 
     def __init__(self, terms: dict[Monomial, int] | Iterable[tuple[Monomial, int]] = ()):
         d = dict(terms)
         self.terms: dict[Monomial, int] = {m: c for m, c in d.items() if c != 0}
+
+    @classmethod
+    def _trusted(cls, terms: dict[Monomial, int]) -> "TracePoly":
+        """Wrap terms as they are: a fresh dict with no zero value."""
+        p = object.__new__(cls)
+        p.terms = terms
+        return p
 
     # -- constructors -----------------------------------------------------
 
@@ -129,6 +114,21 @@ class TracePoly(_Sparse):
         return format_tracepoly(self)
 
     # -- arithmetic -------------------------------------------------------
+
+    def __add__(self, other: "TracePoly") -> "TracePoly":
+        a, b = self.terms, other.terms
+        if len(a) < len(b):
+            a, b = b, a
+        return TracePoly._trusted(_accumulate(dict(a), b.items(), 1))
+
+    def __sub__(self, other: "TracePoly") -> "TracePoly":
+        a, b = self.terms, other.terms
+        if len(a) < len(b):
+            return TracePoly._trusted(_accumulate({k: -v for k, v in b.items()}, a.items(), 1))
+        return TracePoly._trusted(_accumulate(dict(a), b.items(), -1))
+
+    def __neg__(self) -> "TracePoly":
+        return TracePoly._trusted({k: -v for k, v in self.terms.items()})
 
     def __mul__(self, other: "TracePoly") -> "TracePoly":
         if len(self.terms) == 1:
@@ -306,55 +306,105 @@ def trace_in(letters, x, y, z, one, zero):
 
 
 def trace_polynomial(w: Word) -> TracePoly:
-    """The integer polynomial in X, Y, Z giving tr(w): trace_in over the
-    packed ring, decoded once."""
+    """The integer polynomial in X, Y, Z giving tr(w): the letter rules of
+    trace_in over the packed ring, decoded once."""
     n_a = sum(1 for gen, _ in w.letters if gen == "a")
     n_b = len(w.letters) - n_a
     # tr w has l1 norm at most 2 * 5^n_a * 2^n_b (module docstring), so
     # s-bit balanced digits hold its coefficients; s is a whole number of bytes
     s = (((2 * 5 ** n_a) << n_b).bit_length() + 8) // 8 * 8
-    kbits = (n_a + 1).bit_length()  # the degree in X is at most n_a + 1
-    x, y, z = _Shift(((1, 0, 1),)), _Shift(((1 << kbits, 0, 1),)), _Shift(((0, s, 1),))
-    return _decode(trace_in(w.letters, x, y, z, _Sparse._trusted({0: 1}), _Sparse._trusted({})), kbits, s)
+    cs = [({0: 1}, 1), ({}, 1), ({}, 1), ({}, 1)]
+    for letter in w.letters:
+        cs = [_combine(rule, cs, s) for rule in _PACKED_RULES[letter]]
+    terms, sign = _combine(_PACKED_TRACE, cs, s)
+    p = _decode(terms, s)
+    return p if sign > 0 else -p
 
 
-class _Shift:
-    """Left multiplication of a packed _Sparse by a sum of signed
-    monomials, each kept as (key offset of its X^i Y^j, bit shift s*k of
-    its Z^k, sign).  The first sign is +1, as in x, y, z and w = z - x*y."""
+# A packed key is i + j * 2^32 for X^i Y^j.  The degree in X is at most
+# n_a + 1, and no word that fits in memory has 2^32 a-letters.
+_KEY_X, _KEY_Y = 1, 1 << 32
 
-    __slots__ = ("parts",)
+# The updates of trace_in, one formula per new c0..c3 for each letter,
+# with W = Z - XY, and the trace of the final c0..c3.
+_LETTER_RULES = {
+    ("a", 1): ("W*c2 - c1 - Y*c3", "c0 + X*c1 + Y*c2 + Z*c3", "X*c2 + c3", "-c2"),
+    ("a", -1): ("X*c0 + c1 - W*c2 + Y*c3", "-c0 - Y*c2 - Z*c3", "-c3", "c2 + X*c3"),
+    ("b", 1): ("-c2", "-c3", "c0 + Y*c2", "c1 + Y*c3"),
+    ("b", -1): ("Y*c0 + c2", "Y*c1 + c3", "-c0", "-c1"),
+}
+_TRACE_RULE = "c0 + c0 + X*c1 + Y*c2 + Z*c3"
 
-    def __init__(self, parts: tuple[tuple[int, int, int], ...]):
-        self.parts = parts
-
-    def __sub__(self, other: "_Shift") -> "_Shift":
-        return _Shift(self.parts + tuple((k, sh, -sg) for k, sh, sg in other.parts))
-
-    def __mul__(self, other):
-        if isinstance(other, _Shift):
-            return _Shift(tuple((k1 + k2, s1 + s2, g1 * g2) for k1, s1, g1 in self.parts for k2, s2, g2 in other.parts))
-        (dk, sh, _), *rest = self.parts
-        out = _moved(other.terms, dk, sh)
-        for dk, sh, sg in rest:
-            _accumulate(out, _moved(other.terms, dk, sh).items(), sg)
-        return _Sparse._trusted(out)
-
-
-def _moved(terms: dict[int, int], dk: int, sh: int) -> dict[int, int]:
-    """terms times the monomial with key offset dk and Z shift sh."""
-    if sh:
-        return {k + dk: v << sh for k, v in terms.items()}
-    return {k + dk: v for k, v in terms.items()}
+# each multiplier as signed packed monomials (key offset, Z shift, sign)
+_MONOMIALS = {
+    "1": ((0, False, 1),),
+    "X": ((_KEY_X, False, 1),),
+    "Y": ((_KEY_Y, False, 1),),
+    "Z": ((0, True, 1),),
+    "W": ((0, True, 1), (_KEY_X + _KEY_Y, False, -1)),
+}
 
 
-def _decode(p: _Sparse, kbits: int, s: int) -> TracePoly:
+def _packed_rule(formula: str) -> tuple:
+    """The formula's first packed source (old index, sign, key offset, Z
+    shift) and the rest (old index, sign, key offset).  The source that
+    shifts goes first, the only one copied with a shift: every formula has
+    at most one, and v << 0 would copy a big int too."""
+    sources = []
+    for sign, term in _split_signed_terms(formula):
+        multiplier, _, c = term.rpartition("*")
+        sources += [(int(c[1]), sign * g, dk, z) for dk, z, g in _MONOMIALS[multiplier or "1"]]
+    first, *rest = sorted(sources, key=lambda source: not source[3])
+    assert not any(z for *_, z in rest), formula
+    return first, tuple((i, g, dk) for i, g, dk, _ in rest)
+
+
+_PACKED_RULES = {letter: tuple(map(_packed_rule, rules)) for letter, rules in _LETTER_RULES.items()}
+_PACKED_TRACE = _packed_rule(_TRACE_RULE)
+
+
+def _combine(rule, cs, s: int) -> tuple[dict[int, int], int]:
+    """The packed sum of rule's sources over the (dict, sign) coefficients
+    cs, as one new (dict, sign): the first source copied with its key
+    offset and shift, the rest accumulated into that copy.  A lone source
+    with neither is relabelled, not copied."""
+    (i, g, dk, z), rest = rule
+    src, sign = cs[i]
+    sign *= g
+    if z:
+        out = {k + dk: v << s for k, v in src.items()}
+    elif dk:
+        out = {k + dk: v for k, v in src.items()}
+    elif rest:
+        out = src.copy()
+    else:
+        return src, sign
+    get = out.get
+    for i, g, dk in rest:
+        src, g2 = cs[i]
+        add = g * g2 == sign
+        for k, v in src.items():
+            k += dk
+            t = get(k)
+            if t is None:
+                # assigned, not added to 0: 0 + v would copy a big int
+                out[k] = v if add else -v
+                continue
+            t = t + v if add else t - v
+            if t:
+                out[k] = t
+            else:
+                del out[k]
+    return out, sign
+
+
+def _decode(packed: dict[int, int], s: int) -> TracePoly:
     """Read the balanced s-bit digits of each value as the coefficients of
     Z^0, Z^1, ...; exact while every coefficient is below 2^(s-1)."""
-    width, half, base, kmask = s // 8, 1 << (s - 1), 1 << s, (1 << kbits) - 1
+    width, half, base = s // 8, 1 << (s - 1), 1 << s
     terms: dict[Monomial, int] = {}
-    for key, v in p.terms.items():
-        i, j = key & kmask, key >> kbits
+    for key, v in packed.items():
+        j, i = divmod(key, _KEY_Y)
         digits = v.bit_length() // s + 1
         raw = v.to_bytes(digits * width, "little", signed=True)
         carry = 0

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 import frickelab
-from frickelab import algebraic, fricke
+from frickelab import algebraic, fricke, tracering, variety
 from frickelab.cli import main
 from frickelab.poly import UniPoly
 
@@ -228,6 +228,21 @@ def test_verify_paper_isolates_failed_artifacts(capsys, monkeypatch):
             (s for s in STAGES if s != "trace-identity"), "certification error: elimination routes disagree"
         ),
     )
+
+
+def test_identity_stage_catches_a_broken_packed_letter_rule(capsys, monkeypatch):
+    # W = Z - XY read as Z in the a-rule for c0: the symbolic identity
+    # suite, which does not run trace_in, must see the broken packed pass
+    rules = list(tracering._LETTER_RULES[("a", 1)])
+    assert rules[0] == "W*c2 - c1 - Y*c3"
+    rules[0] = "Z*c2 - c1 - Y*c3"
+    monkeypatch.setitem(tracering._PACKED_RULES, ("a", 1), tuple(map(tracering._packed_rule, rules)))
+    assert variety.trace_identity_suite(200, 10, seed=0).failures
+    fricke.solve_pattern_system.cache_clear()
+    code, out, _ = run(capsys, "verify-paper", "--machine")
+    fricke.solve_pattern_system.cache_clear()
+    assert code == 1
+    assert "trace-identity: fail" in out.splitlines()
 
 
 def test_verify_paper_derives_each_artifact_once(capsys, monkeypatch):

@@ -233,6 +233,28 @@ def test_length_of_interval_point_stops_after_one_try(monkeypatch):
     assert len(calls) == 1
 
 
+def test_length_of_raises_precision_when_the_first_enclosure_is_too_wide(monkeypatch):
+    # trace just above 2: the first enclosure of 2 acosh(x/2) is too wide,
+    # so length_of narrows the trace and raises the working precision once
+    import frickelab.fricke
+
+    calls = []
+    interval = frickelab.fricke.EvalResult.interval
+
+    def counting(self, eps):
+        calls.append(eps)
+        return interval(self, eps)
+
+    monkeypatch.setattr(frickelab.fricke.EvalResult, "interval", counting)
+    x = 2 + Fraction(1, 10 ** 40)
+    iv = length_of(FrickePoint.from_rationals(x, 3, 3), parse_word("a"))
+    assert len(calls) == 2
+    assert iv.width() < Fraction(1, 2 ** 96)
+    with mpmath.workprec(600):
+        man, exp = (2 * mpmath.acosh(mpmath.mpf(x.numerator) / x.denominator / 2)).man_exp
+    assert iv.contains(int(man) * Fraction(2) ** exp)
+
+
 def test_rational_length_point():
     # trace 3 at a rational point: length = 2 acosh(3/2)
     pt = FrickePoint.from_rationals(3, 3, 3)

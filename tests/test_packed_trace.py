@@ -1,12 +1,14 @@
-"""trace_polynomial, which runs trace_in over the packed ring, against
-trace_in over TracePoly and against exact SL(2, Q) matrices."""
+"""trace_polynomial, which runs the letter rules of trace_in over the
+packed ring, against trace_in over TracePoly, against exact SL(2, Q)
+matrices and against a pinned digest of its output."""
 
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frickelab.tracering import TracePoly, trace_in, trace_polynomial
+from frickelab.tracering import TracePoly, format_tracepoly, trace_in, trace_polynomial
 from frickelab.words import Word, parse_word
 
 from oracles import mat_mul, random_sl2_rational, word_matrix
@@ -18,6 +20,8 @@ ONE = TracePoly.constant(1)
 ZERO = TracePoly()
 
 LETTERS = [("a", 1), ("a", -1), ("b", 1), ("b", -1)]
+# sha256 of the printed traces of golden_words, one per line, in order
+GOLDEN_DIGEST = "f6a99cd158fd5fa1e5026103367746e88b9326e81d01f85946417b2932bbcc54"
 
 
 def reference(w: Word) -> TracePoly:
@@ -86,3 +90,25 @@ def test_every_x_degree_fits_its_key():
             letters += [("b", rng.choice((1, -1))) for _ in range(rng.randint(1, 6))]
             rng.shuffle(letters)
             check(Word(letters))
+
+
+def golden_words() -> list[Word]:
+    """400 seeded freely reduced words of length 0-80, the words of
+    test_families, then (ab)^500, (aB)^200 and (aab)^60."""
+    rng = random.Random(2024)
+    words = []
+    for _ in range(400):
+        letters = []
+        for _ in range(rng.randint(0, 80)):
+            letters.append(rng.choice([l for l in LETTERS if not letters or l != (letters[-1][0], -letters[-1][1])]))
+        words.append(Word(letters))
+    for base in ["a", "b", "ab", "aB", "aab", "AAB"]:
+        words += [parse_word(base) ** n for n in list(range(13)) + [20, 31]]
+    return words + [parse_word("ab") ** 500, parse_word("aB") ** 200, parse_word("aab") ** 60]
+
+
+def test_golden_digest_of_the_packed_pass():
+    h = hashlib.sha256()
+    for w in golden_words():
+        h.update(format_tracepoly(trace_polynomial(w)).encode() + b"\n")
+    assert h.hexdigest() == GOLDEN_DIGEST
