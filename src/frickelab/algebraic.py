@@ -171,6 +171,37 @@ class NumberField:
             den //= g
         return FieldElement(self, tuple(nums), den)
 
+    def _monic_numerators(self, elements) -> tuple[list[list[int]], int, list[list[int]]]:
+        """The elements as integer vectors over one common denominator E in
+        the power basis of phi = c theta, c = |lc(f)|, and the rows phi^k
+        mod g for k = n .. 2n - 2.  phi is a root of the monic integer
+        g(t) = sign(lc) c^(n-1) f(t / c), so the rows are integers too.
+        Each element is put in lowest terms on phi's basis first, which
+        keeps E small when f is not monic."""
+        f, n = self.defining.coeffs, self.degree
+        scale = [abs(f[n]) ** (n - 1 - i) for i in range(n)]  # c^(n-1-i)
+        scaled = []
+        for e in elements:
+            nums = [v * s for v, s in zip(e._nums, scale)]
+            den = e._den * scale[0]
+            g = math.gcd(den, *nums)
+            scaled.append(([v // g for v in nums], den // g))
+        common = math.lcm(*(den for _, den in scaled))
+        vectors = [[v * (common // den) for v in nums] for nums, den in scaled]
+        sign = 1 if f[n] > 0 else -1
+        rows, row = [], [-sign * v * s for v, s in zip(f, scale)]
+        for _ in range(n - 1):
+            rows.append(row)
+            # phi^(k+1) = phi * phi^k: shift up, fold the top back by phi^n
+            row = [row[-1] * r + s for r, s in zip(rows[0], [0] + row[:-1])]
+        return vectors, common, rows
+
+    def _from_monic(self, nums: list[int], den: int) -> "FieldElement":
+        """The element (sum nums[i] phi^i) / den, phi as in _monic_numerators,
+        in lowest terms."""
+        c = abs(self.defining.coeffs[-1])
+        return self._element([v * c ** i for i, v in enumerate(nums)], den)
+
     def element(self, coeffs) -> "FieldElement":
         cs = [Fraction(c) for c in coeffs]
         den = math.lcm(*(c.denominator for c in cs))

@@ -11,6 +11,7 @@ certified interval arithmetic.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -23,7 +24,7 @@ from .poly import (
     irreducible_over_Q,
     isolate_real_roots,
 )
-from .tracering import TracePoly, trace_in, trace_polynomial
+from .tracering import TracePoly, _trace_numerators, trace_polynomial
 from .words import Word
 
 Coordinate = Union[Fraction, FieldElement, RatInterval]
@@ -373,8 +374,20 @@ def solve_pattern_system(precision_bits: int = 128) -> FrickePoint:
 
 
 def trace_of(pt: FrickePoint, w: Word) -> EvalResult:
-    """tr(w) at the point: one exact pass at rational and field points;
-    at interval points the expanded polynomial is evaluated over the
+    """tr(w) at the point.
+
+    At rational and field points: tracering's letter rules, run once on
+    integer numerators (tracering._trace_numerators).  E is the least
+    common denominator of x, y, z and w = z - x y; after L letters the
+    coefficients sit over E^L and the trace over E^(L+1).  At a field
+    point the numerators are on the power basis of |lc(f)| theta, a root of
+    a monic integer polynomial (NumberField._monic_numerators), so a
+    non-monic f takes the same pass and each new coefficient is reduced
+    once, by integer rows, with no gcd.  The value is put in lowest terms
+    once, at the end: a reduction and a gcd per product and per sum were
+    most of the cost of trace_in over FieldElements.
+
+    At interval points the expanded polynomial is evaluated over the
     coordinate box on integer numerators over one common denominator (see
     _evaluate_box), which gives tighter enclosures than interval
     arithmetic along the word and the same endpoints as
@@ -382,11 +395,16 @@ def trace_of(pt: FrickePoint, w: Word) -> EvalResult:
     its enclosure has a fixed width."""
     if pt.kind == "interval":
         return evaluate_at_point(trace_polynomial(w), pt)
-    if pt.kind == "field":
-        one, zero = pt.field.from_rational(1), pt.field.from_rational(0)
+    field, (x, y, z) = pt.field, pt.coords
+    if field:
+        vectors, e, rows = field._monic_numerators((field.from_rational(1), x, y, z, z - x * y))
     else:
-        one, zero = Fraction(1), Fraction(0)
-    return EvalResult(pt.kind, trace_in(w.letters, *pt.coords, one, zero))
+        coords = (1, x, y, z, z - x * y)
+        e = math.lcm(*(c.denominator for c in coords))
+        vectors, rows = [[c.numerator * (e // c.denominator)] for c in coords], []
+    nums = _trace_numerators(w.letters, vectors, rows)
+    den = e ** (len(w.letters) + 1)
+    return EvalResult(pt.kind, field._from_monic(nums, den) if field else Fraction(nums[0], den))
 
 
 def _mpf_tuple_to_fraction(t) -> Fraction:
@@ -509,8 +527,6 @@ def sample_markov_point(x: Fraction, y: Fraction) -> Optional[FrickePoint]:
 
 
 def _fraction_sqrt(q: Fraction) -> Optional[Fraction]:
-    import math
-
     if q < 0:
         return None
     rn = math.isqrt(q.numerator)

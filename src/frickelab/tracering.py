@@ -37,6 +37,20 @@ new ones with total weights 1, 2, 5, 3, so N grows at most 5-fold; for A
 the weights are 2, 1, 4, 4, for b 1, 1, 2, 2 and for B 2, 2, 1, 1.  N
 starts at 1, and 2 c0 + X c1 + Y c2 + Z c3 at most doubles it.
 
+fricke.trace_of at rational and number-field points runs the same table
+once more, on integers (_trace_numerators).  With E the least common
+denominator of x, y, z and w = z - x y, the multipliers 1, X, Y, Z, W are
+the integer vectors of E, E x, E y, E z, E w, so after k letters each
+coefficient is n integer numerators over the implied E^k, for n the
+degree of the coordinates' field (1 at a rational point).  Each new
+coefficient is one unreduced sum of products in 2n - 1 slots, folded back
+to n slots once, by the integer rows t^k mod g (k = n .. 2n - 2) of a
+monic integer g with root t that generates the field.  Reducing once per
+coefficient instead of once per product or sum, and putting the value in
+lowest terms once per word, is what the pass saves over trace_in on
+FieldElements or Fractions; nothing is packed, so the slot count stays n
+however long the word.
+
 The signed-term text `2*X^2*Z - Y + 3` of trace and variety polynomials
 lives here too: _format_signed_terms prints it, _parse_signed_terms reads
 it for parse_tracepoly and variety.parse_variety_poly.
@@ -278,7 +292,9 @@ def trace_in(letters, x, y, z, one, zero):
 
     x, y, z are tr A, tr B, tr AB in the ring; one and zero are its unit
     and zero.  The running product is kept as c0 + c1 A + c2 B + c3 AB and
-    multiplied on the right one letter at a time.
+    multiplied on the right one letter at a time.  This is the reference
+    definition: trace_polynomial and fricke.trace_of run the same updates
+    from _LETTER_RULES, and the tests compare them against it.
     """
     w = z - x * y
     c0, c1, c2, c3 = one, zero, zero, zero
@@ -345,15 +361,24 @@ _MONOMIALS = {
 }
 
 
+def _rule_terms(formula: str) -> tuple[tuple[int, int, str], ...]:
+    """(old index, sign, multiplier) per term of a formula: `-Y*c3` is
+    (3, -1, "Y") and `c0` is (0, 1, "1")."""
+    terms = []
+    for sign, term in _split_signed_terms(formula):
+        multiplier, _, c = term.rpartition("*")
+        terms.append((int(c[1]), sign, multiplier or "1"))
+    return tuple(terms)
+
+
 def _packed_rule(formula: str) -> tuple:
     """The formula's first packed source (old index, sign, key offset, Z
     shift) and the rest (old index, sign, key offset).  The source that
     shifts goes first, the only one copied with a shift: every formula has
     at most one, and v << 0 would copy a big int too."""
-    sources = []
-    for sign, term in _split_signed_terms(formula):
-        multiplier, _, c = term.rpartition("*")
-        sources += [(int(c[1]), sign * g, dk, z) for dk, z, g in _MONOMIALS[multiplier or "1"]]
+    sources = [
+        (i, sign * g, dk, z) for i, sign, multiplier in _rule_terms(formula) for dk, z, g in _MONOMIALS[multiplier]
+    ]
     first, *rest = sorted(sources, key=lambda source: not source[3])
     assert not any(z for *_, z in rest), formula
     return first, tuple((i, g, dk) for i, g, dk, _ in rest)
@@ -416,6 +441,55 @@ def _decode(packed: dict[int, int], s: int) -> TracePoly:
             if d:
                 terms[(i, j, k)] = d
     return TracePoly._trusted(terms)
+
+
+# -- the exact pass at a point ---------------------------------------------------
+
+_EXACT_RULES = {letter: tuple(map(_rule_terms, rules)) for letter, rules in _LETTER_RULES.items()}
+_EXACT_TRACE = _rule_terms(_TRACE_RULE)
+
+
+def _trace_numerators(letters, multipliers, rows) -> list[int]:
+    """Integer numerators of tr(w) at a point, over E^(L+1) for L letters.
+
+    multipliers are E, E x, E y, E z and E w, for w = z - x y, as integer
+    vectors in a power basis 1, t, ..., t^(n-1) of the coordinates' field,
+    where t is a root of a monic integer g of degree n and E is a common
+    denominator of x, y, z and w; rows are t^k mod g for k = n .. 2n - 2.
+    A rational point has n = 1 and no rows.  The letter rules of
+    trace_in, read from _LETTER_RULES, keep each c0..c3 as n numerators
+    over E^k after k letters.
+    """
+    # each multiplier with each sign as its nonzero entries (slot, value)
+    table = {
+        (name, sign): [(k, sign * m) for k, m in enumerate(vector) if m]
+        for name, vector in zip("1XYZW", multipliers)
+        for sign in (1, -1)
+    }
+    # the zero coefficients start with no entries: their products add nothing
+    cs = [[1] + [0] * len(rows), [], [], []]
+    for letter in letters:
+        cs = [_reduced_sum(rule, cs, table, rows) for rule in _EXACT_RULES[letter]]
+    return _reduced_sum(_EXACT_TRACE, cs, table, rows)
+
+
+def _reduced_sum(rule, cs, table, rows) -> list[int]:
+    """One new coefficient: the rule's products summed unreduced into 2n - 1
+    slots, then slots n .. 2n - 2 folded into the first n by the rows, the
+    one reduction mod g of this coefficient."""
+    n = len(rows) + 1
+    acc = [0] * (2 * n - 1)
+    for i, sign, multiplier in rule:
+        c = cs[i]
+        for k, m in table[multiplier, sign]:
+            for j, v in enumerate(c, k):
+                acc[j] += m * v
+    for top, row in zip(acc[n:], rows):
+        if top:
+            for j, r in enumerate(row):
+                acc[j] += top * r
+    del acc[n:]
+    return acc
 
 
 def clear_trace_memo() -> None:
