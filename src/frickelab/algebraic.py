@@ -24,6 +24,7 @@ from .poly import (
     _power,
     _prime_table,
     _qpoly_divmod,
+    _rem_monic,
     _sturm_counts,
     discriminant,
     factor_mod_p,
@@ -126,13 +127,17 @@ def make_algebraic(p: UniPoly, hint: tuple) -> AlgebraicReal:
 class NumberField:
     """Q(theta) for theta a certified real root of an irreducible polynomial.
 
-    An element (n_0 + n_1 theta + ... + n_{d-1} theta^(d-1)) / D is stored
-    as the integer numerators n_i over one positive common denominator D,
+    Elements are stored on the power basis of phi = c theta, c = |lc(f)|,
+    a root of the monic integer g(t) = sign(lc f) c^(n-1) f(t / c); phi =
+    theta for a monic f.  (n_0 + n_1 phi + ... + n_{d-1} phi^(d-1)) / D is
+    the integer numerators n_i over one positive common denominator D,
     always in lowest terms: gcd(D, n_0, ..., n_{d-1}) = 1.  Each element
     thus has one representation, and products and sums need integer
-    arithmetic only (Cohen, A Course in Computational Algebraic Number
-    Theory, 4.2).  Sign determination is exact: a nonzero element cannot
-    vanish at theta, so interval refinement of theta terminates.
+    arithmetic and one reduction mod g only (Cohen, A Course in
+    Computational Algebraic Number Theory, 4.2).  element(), gen() and
+    FieldElement.coeffs speak theta's basis.  Sign determination is exact:
+    a nonzero element cannot vanish at theta, so interval refinement of
+    theta terminates.
     """
 
     def __init__(self, defining: UniPoly, root: AlgebraicReal, irreducibility: IrreducibilityVerdict):
@@ -141,71 +146,28 @@ class NumberField:
         self.defining = defining
         self.root = root
         self.irreducibility = irreducibility
-        self.degree = defining.degree()
+        self.degree = n = defining.degree()
+        self._scale = c = abs(defining.lc())
+        # g = sign(lc) c^(n-1) f(t / c) = c^n f(t / c) / lc, exactly divisible
+        self._monic = tuple(a * c ** (n - i) // defining.lc() for i, a in enumerate(defining.coeffs))
 
     def _element(self, nums: list[int], den: int) -> "FieldElement":
-        """(sum nums[i] theta^i) / den for den > 0, reduced modulo the
-        integer defining polynomial f and brought to lowest terms."""
-        f = self.defining.coeffs
-        n = self.degree
-        lead = f[n]
-        for k in range(len(nums) - 1, n - 1, -1):
-            top = nums[k]
-            if not top:
-                continue
-            if lead != 1:
-                # scale everything so that lc(f) divides the top coefficient
-                s = abs(lead) // math.gcd(top, lead)
-                if s != 1:
-                    nums = [c * s for c in nums[: k + 1]]
-                    den *= s
-                    top *= s
-                top //= lead
-            for i in range(n):
-                nums[k - n + i] -= top * f[i]
-        del nums[n:]
-        nums += [0] * (n - len(nums))
+        """(sum nums[i] phi^i) / den for den > 0, reduced modulo g and
+        brought to lowest terms."""
+        nums = _rem_monic(nums, self._monic)
         g = math.gcd(den, *nums)
         if g != 1:
             nums = [c // g for c in nums]
             den //= g
         return FieldElement(self, tuple(nums), den)
 
-    def _monic_numerators(self, elements) -> tuple[list[list[int]], int, list[list[int]]]:
-        """The elements as integer vectors over one common denominator E in
-        the power basis of phi = c theta, c = |lc(f)|, and the rows phi^k
-        mod g for k = n .. 2n - 2.  phi is a root of the monic integer
-        g(t) = sign(lc) c^(n-1) f(t / c), so the rows are integers too.
-        Each element is put in lowest terms on phi's basis first, which
-        keeps E small when f is not monic."""
-        f, n = self.defining.coeffs, self.degree
-        scale = [abs(f[n]) ** (n - 1 - i) for i in range(n)]  # c^(n-1-i)
-        scaled = []
-        for e in elements:
-            nums = [v * s for v, s in zip(e._nums, scale)]
-            den = e._den * scale[0]
-            g = math.gcd(den, *nums)
-            scaled.append(([v // g for v in nums], den // g))
-        common = math.lcm(*(den for _, den in scaled))
-        vectors = [[v * (common // den) for v in nums] for nums, den in scaled]
-        sign = 1 if f[n] > 0 else -1
-        rows, row = [], [-sign * v * s for v, s in zip(f, scale)]
-        for _ in range(n - 1):
-            rows.append(row)
-            # phi^(k+1) = phi * phi^k: shift up, fold the top back by phi^n
-            row = [row[-1] * r + s for r, s in zip(rows[0], [0] + row[:-1])]
-        return vectors, common, rows
-
-    def _from_monic(self, nums: list[int], den: int) -> "FieldElement":
-        """The element (sum nums[i] phi^i) / den, phi as in _monic_numerators,
-        in lowest terms."""
-        c = abs(self.defining.coeffs[-1])
-        return self._element([v * c ** i for i, v in enumerate(nums)], den)
-
     def element(self, coeffs) -> "FieldElement":
         cs = [Fraction(c) for c in coeffs]
         den = math.lcm(*(c.denominator for c in cs))
-        return self._element([c.numerator * (den // c.denominator) for c in cs], den)
+        # theta^i = phi^i / c^i, so over den c^top numerator i is cs[i] den c^(top - i)
+        c, top = self._scale, max(len(cs) - 1, 0)
+        nums = [q.numerator * (den // q.denominator) * c ** (top - i) for i, q in enumerate(cs)]
+        return self._element(nums, den * c ** top)
 
     def gen(self) -> "FieldElement":
         return self.element([0, 1])
@@ -216,7 +178,7 @@ class NumberField:
 
 
 class FieldElement:
-    """(_nums[0] + _nums[1] theta + ...) / _den in lowest terms; see NumberField."""
+    """(_nums[0] + _nums[1] phi + ...) / _den in lowest terms; see NumberField."""
 
     __slots__ = ("field", "_nums", "_den")
 
@@ -229,7 +191,8 @@ class FieldElement:
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """Rational coefficients in the power basis 1, theta, theta^2, ..."""
-        return tuple(Fraction(c, self._den) for c in self._nums)
+        c = self.field._scale
+        return tuple(Fraction(v * c ** i, self._den) for i, v in enumerate(self._nums))
 
     def __repr__(self) -> str:
         return f"FieldElement({list(self.coeffs)})"
@@ -317,13 +280,13 @@ class FieldElement:
         return _power(self, n, self.field.from_rational(1))
 
     def _enclosures(self):
-        """Interval Horner of the numerators on theta's isolating interval,
+        """Interval Horner of the numerators on phi's interval c [lo, hi],
         quartered between enclosures (refining below half the width takes
         two bisections): the element's enclosures times its positive
         denominator, which commutes with interval products."""
-        root = self.field.root
+        root, c = self.field.root, self.field._scale
         while True:
-            yield _horner_interval(self._nums, root.interval())
+            yield _horner_interval(self._nums, RatInterval(c * root.lo, c * root.hi))
             root = root.refined((root.hi - root.lo) / 2)
 
     def interval(self, eps) -> RatInterval:

@@ -379,13 +379,13 @@ def trace_of(pt: FrickePoint, w: Word) -> EvalResult:
     At rational and field points: tracering's letter rules, run once on
     integer numerators (tracering._trace_numerators).  E is the least
     common denominator of x, y, z and w = z - x y; after L letters the
-    coefficients sit over E^L and the trace over E^(L+1).  At a field
-    point the numerators are on the power basis of |lc(f)| theta, a root of
-    a monic integer polynomial (NumberField._monic_numerators), so a
-    non-monic f takes the same pass and each new coefficient is reduced
-    once, by integer rows, with no gcd.  The value is put in lowest terms
-    once, at the end: a reduction and a gcd per product and per sum were
-    most of the cost of trace_in over FieldElements.
+    coefficients sit over E^L and the trace over E^(L+1).  Field elements
+    are stored as numerators on the power basis of a root of the field's
+    monic integer polynomial g (see NumberField), and a rational is the
+    degree-1 case g = t, so both kinds take the same pass and each new
+    coefficient is reduced once modulo g, with no gcd.  The value is put
+    in lowest terms once, at the end: a reduction and a gcd per product
+    and per sum were most of the cost of trace_in over FieldElements.
 
     At interval points the expanded polynomial is evaluated over the
     coordinate box on integer numerators over one common denominator (see
@@ -397,14 +397,15 @@ def trace_of(pt: FrickePoint, w: Word) -> EvalResult:
         return evaluate_at_point(trace_polynomial(w), pt)
     field, (x, y, z) = pt.field, pt.coords
     if field:
-        vectors, e, rows = field._monic_numerators((field.from_rational(1), x, y, z, z - x * y))
+        coords = (field.from_rational(1), x, y, z, z - x * y)
+        g, parts = field._monic, [(c._nums, c._den) for c in coords]
     else:
         coords = (1, x, y, z, z - x * y)
-        e = math.lcm(*(c.denominator for c in coords))
-        vectors, rows = [[c.numerator * (e // c.denominator)] for c in coords], []
-    nums = _trace_numerators(w.letters, vectors, rows)
+        g, parts = (0, 1), [((c.numerator,), c.denominator) for c in coords]
+    e = math.lcm(*(den for _, den in parts))
+    nums = _trace_numerators(w.letters, [[v * (e // den) for v in vs] for vs, den in parts], g)
     den = e ** (len(w.letters) + 1)
-    return EvalResult(pt.kind, field._from_monic(nums, den) if field else Fraction(nums[0], den))
+    return EvalResult(pt.kind, field._element(nums, den) if field else Fraction(nums[0], den))
 
 
 def _mpf_tuple_to_fraction(t) -> Fraction:

@@ -242,6 +242,22 @@ def _qpoly_divmod(a, b) -> tuple[list[Fraction], list[Fraction]]:
     return quo, num[:db]
 
 
+def _rem_monic(nums: list[int], g) -> list[int]:
+    """The ascending integer coefficients nums, of any length, reduced in
+    place modulo the monic integer polynomial with ascending coefficients
+    g, top down, and padded with zeros to deg g slots."""
+    n = len(g) - 1
+    for k in range(len(nums) - 1, n - 1, -1):
+        top = nums[k]
+        if top:
+            # subtract top t^(k-n) g, which also clears slot k
+            for j, c in enumerate(g, k - n):
+                nums[j] -= top * c
+    del nums[n:]
+    nums += [0] * (n - len(nums))
+    return nums
+
+
 def exact_div(p: UniPoly, q: UniPoly) -> UniPoly:
     """Exact quotient p/q; raises if the division has a remainder or leaves Z[x]."""
     if q.is_zero():

@@ -43,9 +43,9 @@ denominator of x, y, z and w = z - x y, the multipliers 1, X, Y, Z, W are
 the integer vectors of E, E x, E y, E z, E w, so after k letters each
 coefficient is n integer numerators over the implied E^k, for n the
 degree of the coordinates' field (1 at a rational point).  Each new
-coefficient is one unreduced sum of products in 2n - 1 slots, folded back
-to n slots once, by the integer rows t^k mod g (k = n .. 2n - 2) of a
-monic integer g with root t that generates the field.  Reducing once per
+coefficient is one unreduced sum of products in 2n - 1 slots, reduced to
+n slots once, modulo the monic integer g whose root t generates the
+field (poly._rem_monic, the reduction NumberField uses).  Reducing once per
 coefficient instead of once per product or sum, and putting the value in
 lowest terms once per word, is what the pass saves over trace_in on
 FieldElements or Fractions; nothing is packed, so the slot count stays n
@@ -62,7 +62,7 @@ import math
 import re
 from typing import Iterable
 
-from .poly import _power
+from .poly import _power, _rem_monic
 from .words import Word
 
 Monomial = tuple[int, int, int]  # exponents of X, Y, Z
@@ -449,16 +449,16 @@ _EXACT_RULES = {letter: tuple(map(_rule_terms, rules)) for letter, rules in _LET
 _EXACT_TRACE = _rule_terms(_TRACE_RULE)
 
 
-def _trace_numerators(letters, multipliers, rows) -> list[int]:
+def _trace_numerators(letters, multipliers, g) -> list[int]:
     """Integer numerators of tr(w) at a point, over E^(L+1) for L letters.
 
     multipliers are E, E x, E y, E z and E w, for w = z - x y, as integer
     vectors in a power basis 1, t, ..., t^(n-1) of the coordinates' field,
-    where t is a root of a monic integer g of degree n and E is a common
-    denominator of x, y, z and w; rows are t^k mod g for k = n .. 2n - 2.
-    A rational point has n = 1 and no rows.  The letter rules of
-    trace_in, read from _LETTER_RULES, keep each c0..c3 as n numerators
-    over E^k after k letters.
+    where t is a root of the monic integer g (ascending coefficients) of
+    degree n and E is a common denominator of x, y, z and w.  A rational
+    point has g = t.  The letter rules of trace_in, read from
+    _LETTER_RULES, keep each c0..c3 as n numerators over E^k after k
+    letters.
     """
     # each multiplier with each sign as its nonzero entries (slot, value)
     table = {
@@ -467,29 +467,22 @@ def _trace_numerators(letters, multipliers, rows) -> list[int]:
         for sign in (1, -1)
     }
     # the zero coefficients start with no entries: their products add nothing
-    cs = [[1] + [0] * len(rows), [], [], []]
+    cs = [[1] + [0] * (len(g) - 2), [], [], []]
     for letter in letters:
-        cs = [_reduced_sum(rule, cs, table, rows) for rule in _EXACT_RULES[letter]]
-    return _reduced_sum(_EXACT_TRACE, cs, table, rows)
+        cs = [_reduced_sum(rule, cs, table, g) for rule in _EXACT_RULES[letter]]
+    return _reduced_sum(_EXACT_TRACE, cs, table, g)
 
 
-def _reduced_sum(rule, cs, table, rows) -> list[int]:
+def _reduced_sum(rule, cs, table, g) -> list[int]:
     """One new coefficient: the rule's products summed unreduced into 2n - 1
-    slots, then slots n .. 2n - 2 folded into the first n by the rows, the
-    one reduction mod g of this coefficient."""
-    n = len(rows) + 1
-    acc = [0] * (2 * n - 1)
+    slots, then reduced modulo g, once for this coefficient."""
+    acc = [0] * (2 * len(g) - 3)
     for i, sign, multiplier in rule:
         c = cs[i]
         for k, m in table[multiplier, sign]:
             for j, v in enumerate(c, k):
                 acc[j] += m * v
-    for top, row in zip(acc[n:], rows):
-        if top:
-            for j, r in enumerate(row):
-                acc[j] += top * r
-    del acc[n:]
-    return acc
+    return _rem_monic(acc, g)
 
 
 def clear_trace_memo() -> None:

@@ -1,9 +1,10 @@
 """Number-field arithmetic against schoolbook products and long division.
 
 The oracle (tests/oracles.mul_mod) works on Fraction coefficient lists and
-never touches frickelab; the fields are the paper's quintic field (monic)
-and the z-field of sample_markov_point(3, 16/5), whose defining polynomial
-25z^2 - 240z + 481 is not monic.
+never touches frickelab; the fields are the paper's quintic field (monic),
+the z-field of sample_markov_point(3, 16/5), whose defining polynomial
+25z^2 - 240z + 481 is not monic, and the field of the real root of the
+non-monic cubic 7t^3 + 3t^2 - 5.
 """
 
 import hashlib
@@ -15,8 +16,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frickelab.algebraic import NumberField, make_algebraic
-from frickelab.fricke import sample_markov_point
-from frickelab.poly import UniPoly, irreducible_over_Q
+from frickelab.fricke import FrickePoint, sample_markov_point, trace_of
+from frickelab.poly import UniPoly, _rem_monic, irreducible_over_Q, isolate_real_roots
+from frickelab.words import Word
 
 from oracles import mul_mod, rem_mod
 
@@ -34,7 +36,12 @@ def _markov_field():
     return field
 
 
-FIELDS = {"quintic": _quintic_field(), "markov": _markov_field()}
+def _cubic_field():
+    f = UniPoly([-5, 0, 3, 7])
+    return NumberField(f, make_algebraic(f, isolate_real_roots(f)[0]), irreducible_over_Q(f))
+
+
+FIELDS = {"quintic": _quintic_field(), "markov": _markov_field(), "cubic": _cubic_field()}
 
 
 def _f(field):
@@ -86,6 +93,27 @@ def test_unreduced_input_reduces_like_long_division(name):
         e = field.element(cs)
         assert e.coeffs == rem_mod(cs, _f(field))
         assert _lowest_terms(e)
+
+
+# the monic g of phi = |lc f| theta: t for a rational, f for the monic
+# quintic, 25 (25t^2 - 240t + 481)(t / 25) for the Markov field
+MONIC = {"t": (0, 1), "quintic": QUINTIC.coeffs, "markov": (12025, -240, 1)}
+
+
+def test_fields_reduce_modulo_their_monic_polynomial():
+    assert FIELDS["quintic"]._monic == MONIC["quintic"]
+    assert FIELDS["markov"]._monic == MONIC["markov"]
+
+
+@pytest.mark.parametrize("name", sorted(MONIC))
+def test_monic_reduction_matches_long_division(name):
+    g = MONIC[name]
+    n = len(g) - 1
+    rng = random.Random(name)
+    for length in range(3 * n + 2):
+        for _ in range(20):
+            nums = [rng.randint(-10**12, 10**12) if rng.random() < 0.8 else 0 for _ in range(length)]
+            assert tuple(_rem_monic(list(nums), g)) == rem_mod(nums, g)
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
@@ -179,6 +207,7 @@ def test_property_against_oracle(name, ca, cb):
 # elements theta - r, with r a rational within 2^-k of theta, need many
 # refinements before their sign shows
 ENCLOSURE_DIGESTS = {
+    "cubic": "8109898eb2cc9770aacbf3483b06a324773016c02b0511e27304db3e5c4bef05",
     "markov": "9d1dffe2a040f09bc08eaf4e5c5d68440a94f3c40802b3ca011087ad36f22cc0",
     "quintic": "ab476695b695342da4c67918a5a7a9c73c44e53058f2c32927fae7d11563bdbf",
 }
@@ -199,3 +228,31 @@ def test_enclosures_and_signs_match_pinned_digest(name):
         lines.append(f"sign {e.sign()}")
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == ENCLOSURE_DIGESTS[name]
+
+
+def _point(field):
+    t = field.gen()
+    return FrickePoint.from_field_elements(field, t + Fraction(5, 3), t * t - Fraction(1, 4), t / 3 + 2)
+
+
+@pytest.mark.parametrize("name", ["markov", "cubic"])
+def test_negated_defining_polynomial_gives_the_same_field(name):
+    # -f has the same root as f and a negative leading coefficient
+    field = FIELDS[name]
+    f = UniPoly([-c for c in field.defining.coeffs])
+    negated = NumberField(f, make_algebraic(f, (field.root.lo, field.root.hi)), irreducible_over_Q(f))
+    assert negated.defining.lc() < 0
+    pairs = [(e, negated.element(cs)) for cs, e in _seeded_elements(field, 59, count=20)]
+    for k in (10, 60):
+        r = field.root.refined(Fraction(1, 2**k)).lo
+        pairs.append((field.gen() - r, negated.gen() - r))
+    for e, d in pairs:
+        assert d.coeffs == e.coeffs
+        for k in (4, 30, 90, 200):
+            assert d.interval(Fraction(1, 2**k)) == e.interval(Fraction(1, 2**k))
+        assert d.sign() == e.sign()
+    rng = random.Random(61)
+    words = [Word([(rng.choice("ab"), rng.choice((1, -1))) for _ in range(rng.randint(0, 20))]) for _ in range(30)]
+    p, q = _point(field), _point(negated)
+    for w in words:
+        assert trace_of(q, w).value.coeffs == trace_of(p, w).value.coeffs
