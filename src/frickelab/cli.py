@@ -423,6 +423,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # exact values print in full: lift the int/str digit limit (Python >= 3.11
+    # and late 3.10 releases) while the command runs, and restore it after
+    digit_limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         cfg = RunConfig(
             precision_bits=args.precision_bits,
@@ -438,6 +443,9 @@ def main(argv=None) -> int:
     except ValueError as exc:  # includes UsageError and WordParseError
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

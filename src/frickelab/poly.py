@@ -2,8 +2,9 @@
 
 Everything here is certificate-grade: unbounded integer (or rational)
 arithmetic throughout, no floating point.  Provides a primitive-PRS gcd,
-resultants, Sturm chains, real root isolation/refinement by bisection,
-factor-degree patterns mod p, and witness-based irreducibility.
+resultants, Sturm chains, real root isolation by bisection, refinement to
+bisection's own cell by regula falsi on its grid, factor-degree patterns
+mod p, and witness-based irreducibility.
 
 Sturm counts need no square-free part (_sturm_counts).  Square-free
 parts serve where that polynomial itself is needed: refinement by sign
@@ -484,23 +485,84 @@ def isolate_real_roots(p: UniPoly) -> list[tuple[Fraction, Fraction]]:
 
 
 def refine_root(p: UniPoly, interval: tuple[Fraction, Fraction], eps) -> tuple[Fraction, Fraction]:
-    """Bisect a sign-isolating interval down to width < eps by _split.
+    """Shrink a sign-isolating interval to width < eps: the interval that
+    bisection by _split returns, found by regula falsi on bisection's grid.
 
     The input must bracket exactly one simple root (opposite endpoint signs);
     the output keeps opposite endpoint signs.
+
+    Bisection halves k times, k the least with (hi - lo)/2^k < eps.  While
+    no split point is a root it evaluates only points lo + (hi - lo) j/2^k
+    of one grid, and it returns the one cell [j, j + 1] of that grid that
+    holds the root.  Here that cell comes from integers a < b in [0, 2^k]
+    with p of opposite signs at grid points a and b.  Each step evaluates
+    the Illinois regula falsi point, rounded down into (a, b) and moved
+    just as far toward the midpoint as keeps b - a <= 2^(k - s//2) after
+    step s (the projection of Oliveira & Takahashi's ITP method, with one
+    free step per halving).  So no call costs more than 2k + 2 evaluations, the two
+    endpoints included, which also check isolation; random inputs take
+    about 14 to 2^-128 and 22 to 2^-1024.  A grid point that is a root
+    stops the search: bisection moves a midpoint off it, so its _split
+    loop then runs from the input.
+
+    Grid point j is (base + step j)/den with integers base, step and den > 0;
+    p there has the sign of sum c_i N^i den^(n-i) at N = base + step j,
+    whose terms c_i den^(n-i) are formed once per call.
     """
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     lo, hi = Fraction(interval[0]), Fraction(interval[1])
-    slo, shi = p.sign_at(lo), p.sign_at(hi)
-    if slo == 0 or shi == 0 or slo == shi:
+    d = math.lcm(lo.denominator, hi.denominator)
+    base = lo.numerator * (d // lo.denominator)
+    step = hi.numerator * (d // hi.denominator) - base
+    k = max(step * eps.denominator // (d * eps.numerator), 0).bit_length()
+    base, den = base << k, d << k
+    terms, scale = [], 1
+    for c in reversed(p.coeffs):
+        terms.append(c * scale)
+        scale *= den
+
+    def value(j: int) -> int:  # den^n p(grid point j)
+        acc, num = 0, base + step * j
+        for t in terms:
+            acc = acc * num + t
+        return acc
+
+    a, b = 0, 1 << k
+    fa, fb = value(a), value(b)
+    if fa == 0 or fb == 0 or (fa > 0) == (fb > 0):
         raise IsolationError(
             f"interval ({lo}, {hi}) does not sign-isolate a simple root of {format_poly(p)}"
         )
+    positive_at_a = fa > 0
+    wa, wb = abs(fa), abs(fb)  # regula falsi weights; Illinois halves a stale one
+    moved = steps = 0  # moved: 1 after a moved, -1 after b moved
+    while b - a > 1:
+        steps += 1
+        width, twice_mid = b - a, a + b
+        # |2j - twice_mid| <= reach leaves b - a <= 2^(k - steps//2)
+        reach = (2 << (k - (steps >> 1))) - width
+        j = a + width * wa // (wa + wb)
+        j = min(max(j, a + 1, (twice_mid - reach + 1) >> 1), b - 1, (twice_mid + reach) >> 1)
+        v = value(j)
+        if v == 0:
+            break
+        if (v > 0) == positive_at_a:
+            a, wa = j, abs(v)
+            if moved == 1:
+                wb >>= 1
+            moved = 1
+        else:
+            b, wb = j, abs(v)
+            if moved == -1:
+                wa >>= 1
+            moved = -1
+    else:
+        return (Fraction(base + step * a, den), Fraction(base + step * b, den))
     while hi - lo >= eps:
         mid, sign = _split(p, lo, hi)
-        if sign == slo:
+        if (sign > 0) == positive_at_a:
             lo = mid
         else:
             hi = mid

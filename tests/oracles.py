@@ -190,3 +190,33 @@ def rem_mod(a, f):
         for i in range(n):
             a[len(a) - n + i] -= c * f[i]
     return tuple(a + [Fraction(0)] * (n - len(a)))
+
+
+# -- bisection with Fraction midpoints ----------------------------------------
+
+
+def bisect_root(coeffs, lo, hi, eps):
+    """Bisect (lo, hi), where the integer polynomial with ascending coeffs
+    changes sign, until the width is < eps, by Fraction Horner values.
+    The split point is the midpoint, moved to (lo + mid)/2 while it is a
+    root, and the half whose endpoints differ in sign is kept."""
+
+    def value(t):
+        acc = Fraction(0)
+        for c in reversed(coeffs):
+            acc = acc * t + c
+        return acc
+
+    lo, hi, eps = Fraction(lo), Fraction(hi), Fraction(eps)
+    lo_positive = value(lo) > 0
+    while hi - lo >= eps:
+        mid = (lo + hi) / 2
+        v = value(mid)
+        while v == 0:
+            mid = (lo + mid) / 2
+            v = value(mid)
+        if (v > 0) == lo_positive:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi

@@ -1,6 +1,8 @@
+import contextlib
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -8,6 +10,7 @@ import frickelab
 from frickelab import algebraic, fricke, tracering, variety
 from frickelab.cli import main
 from frickelab.poly import UniPoly
+from frickelab.words import parse_word
 
 
 def run(capsys, *argv):
@@ -438,3 +441,42 @@ def test_galois_of_x4_plus_1_is_unknown(capsys):
         "note: no irreducibility witness below 500\n"
         "verdict: Unknown\n"
     )
+
+
+@contextlib.contextmanager
+def _no_digit_limit():
+    """Python's int/str digit limit lifted, where it exists."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_values_past_the_int_digit_limit_print_in_full(capsys):
+    # (ab)^6000 at a rational point and the solved point at 4000 bits print
+    # integers of more than 4300 digits, Python's default int/str limit
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    word = "ab" * 6000
+    code, out, err = run(capsys, "trace", word, "--point", "1/2,-7/3,5/11")
+    assert (code, err) == (0, "")
+    pt = fricke.FrickePoint.from_rationals(Fraction(1, 2), Fraction(-7, 3), Fraction(5, 11))
+    with _no_digit_limit():
+        assert out == f"{fricke.trace_of(pt, parse_word(word)).value}\n"
+    assert len(out) > 4300
+
+    code, out, err = run(capsys, "solve", "--raw", "--precision-bits", "4000")
+    assert (code, err) == (0, "")
+    eps = Fraction(1, 2 ** 4000)
+    with _no_digit_limit():
+        expected = [f"{name} = [{iv.lo}, {iv.hi}]" for name, iv in
+                    zip("xyz", (c.interval(eps) for c in fricke.solve_pattern_system(4000).coords))]
+    assert out.splitlines()[:3] == expected
+    assert out.splitlines()[-1] == "verdict: Member"
+    assert max(map(len, expected)) > 4300
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit  # restored

@@ -1,10 +1,14 @@
-"""Real root isolation: deep bisection, rational roots on split points, and
-pinned digests of the intervals for inputs with no rational root.
+"""Real root isolation and refinement: deep bisection, rational roots on
+split points, and pinned digests of the intervals for inputs with no
+rational root.
 
-The digest was taken from the recursive implementation that fenced off
-rational midpoints.  Without a rational root no split point lands on a
-root, so the worklist loop must reproduce it exactly.  Root counts are
-checked against the textbook Fraction Sturm chain in `oracles`.
+The isolation digest was taken from the recursive implementation that
+fenced off rational midpoints.  Without a rational root no split point
+lands on a root, so the worklist loop must reproduce it exactly.  The
+refinement digest was taken from refinement by plain bisection, which
+`refine_root` must reproduce; `oracles.bisect_root` checks it the same
+way.  Root counts are checked against the textbook Fraction Sturm chain
+in `oracles`.
 """
 
 import hashlib
@@ -26,7 +30,7 @@ from frickelab.poly import (
     square_free_part,
 )
 
-from oracles import rational_sturm_count
+from oracles import bisect_root, rational_sturm_count
 
 
 def _check_isolating(p, ivs):
@@ -152,3 +156,138 @@ def test_split_rule_on_dyadic_rational_roots(monkeypatch):
             assert p.sign_at(lo) * p.sign_at(hi) == -1
             assert rational_sturm_count(p, lo, hi) == 1
     assert sum(moved) >= 100
+
+
+def _square_free_inputs():
+    """Seeded square-free polynomials of degree 5-40 with their isolating
+    intervals: one (polynomial, interval) pair per real root."""
+    rng = random.Random(3141)
+    out = []
+    for d in (5, 6, 8, 12, 17, 20, 27, 33, 40):
+        while True:
+            p = UniPoly([rng.randint(-30, 30) for _ in range(d)] + [rng.randint(1, 4)])
+            ivs = isolate_real_roots(p)
+            if ivs and square_free_part(p) == p:
+                break
+        out += [(p, iv) for iv in ivs]
+    return out
+
+
+def _oracle_cases():
+    # at 2^-1024 the Fraction oracle takes seconds per root past degree 17
+    inputs = _square_free_inputs()
+    cases = [(p, iv, bits) for bits in (4, 128) for p, iv in inputs]
+    cases += [(p, iv, 1024) for p, iv in inputs if p.degree() <= 17]
+    quintic = UniPoly([-4, 4, 3, -4, -2, 1])
+    cases += [(quintic, isolate_real_roots(quintic)[0], bits) for bits in (128, 512, 4096)]
+    return cases
+
+
+@pytest.mark.parametrize(
+    "p, iv, bits", _oracle_cases(), ids=lambda v: f"2^-{v}" if isinstance(v, int) else None
+)
+def test_refine_root_matches_the_bisection_oracle(p, iv, bits):
+    eps = Fraction(1, 2 ** bits)
+    assert refine_root(p, iv, eps) == bisect_root(p.coeffs, *iv, eps)
+
+
+def test_refine_root_matches_the_oracle_when_a_grid_point_is_a_root(monkeypatch):
+    # dyadic roots of (4x - 3)(8x + 5)(16x - 7)(x^2 - 2) sit on the grids of
+    # intervals around them, where bisection moves a midpoint (_split)
+    calls = []
+
+    def recording_split(p, lo, hi):
+        calls.append((lo, hi))
+        return split(p, lo, hi)
+
+    split = poly._split
+    monkeypatch.setattr(poly, "_split", recording_split)
+    p = UniPoly([-3, 4]) * UniPoly([5, 8]) * UniPoly([-7, 16]) * UniPoly([-2, 0, 1])
+    eps = Fraction(1, 2 ** 100)
+    for iv in isolate_real_roots(p):
+        assert refine_root(p, iv, eps) == bisect_root(p.coeffs, *iv, eps)
+    around = [(r - Fraction(1, 64), r + Fraction(1, 64)) for r in (Fraction(3, 4), Fraction(-5, 8), Fraction(7, 16))]
+    for iv in around + [(Fraction(1, 4), Fraction(1, 2)), (0, Fraction(1, 2))]:
+        calls.clear()
+        assert refine_root(p, iv, eps) == bisect_root(p.coeffs, *iv, eps)
+        assert calls  # the split loop ran
+
+
+def test_refine_root_edge_cases():
+    p = UniPoly([-2, 0, 1])
+    # eps above the width: the input back, after the isolation check
+    assert refine_root(p, (1, 2), 2) == (Fraction(1), Fraction(2))
+    assert refine_root(p, (Fraction(1), Fraction(3, 2)), Fraction(5)) == (1, Fraction(3, 2))
+    # integer endpoints and eps
+    assert refine_root(p, (0, 2), Fraction(1, 3)) == bisect_root(p.coeffs, 0, 2, Fraction(1, 3))
+    assert refine_root(p, (-2, 0), 1) == (Fraction(-3, 2), Fraction(-1))
+    for eps in (0, -1, Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            refine_root(p, (1, 2), eps)
+    message = r"^interval \(2, 3\) does not sign-isolate a simple root of poly: -2 0 1$"
+    for eps in (Fraction(1, 2 ** 64), 10):
+        with pytest.raises(poly.IsolationError, match=message):
+            refine_root(p, (2, 3), eps)
+    with pytest.raises(poly.IsolationError):
+        refine_root(UniPoly([0, 1]), (0, 1), 10)  # an endpoint is the root
+    with pytest.raises(poly.IsolationError):
+        refine_root(UniPoly(), (0, 1), Fraction(1, 4))
+
+
+def _high_degree_inputs():
+    rng = random.Random(2140)
+    out = []
+    for _ in range(8):
+        d = rng.randint(20, 40)
+        out.append(UniPoly([rng.randint(-30, 30) for _ in range(d)] + [rng.randint(1, 3)]))
+    return out
+
+
+REFINED_GOLDEN = "3c2f88cf3f269352a8ce20ad8089588f17648d6d14e699ae6bbdc30028bebaea"
+
+
+def test_refinement_to_2_pow_minus_1024_matches_pinned_digest():
+    # 26 roots of polynomials of degree 21-38; digest taken from bisection
+    eps = Fraction(1, 2 ** 1024)
+    result = []
+    for p in _high_degree_inputs():
+        sf = square_free_part(p)
+        result.append((p.coeffs, [refine_root(sf, iv, eps) for iv in isolate_real_roots(p)]))
+    assert hashlib.sha256(repr(result).encode()).hexdigest() == REFINED_GOLDEN
+
+
+def test_refine_root_returns_on_hard_inputs():
+    # the Mignotte cubic, x^20 - 2 and a root pair 10^-30 apart, to 2^-1024,
+    # in a child process so that a search that stalls fails the test instead
+    # of hanging.  The result is bisection's cell: [A, A + 1] of the grid
+    # lo + (hi - lo) j/2^k, k least with (hi - lo)/2^k < eps.
+    code = (
+        "from fractions import Fraction as F\n"
+        "from frickelab.poly import UniPoly as U, isolate_real_roots, refine_root\n"
+        "x = U([0, 1])\n"
+        "for p in (x ** 3 - U([-1, 10 ** 100]) ** 2 * U([2]), x ** 20 - U([2]),\n"
+        "          U([-1, 3]) * U([-10 ** 30 - 3, 3 * 10 ** 30]) * U([-5, 1])):\n"
+        "    for iv in isolate_real_roots(p) + [(F(0), F(10 ** 6))] * (p.degree() == 20):\n"
+        "        print(*p.coeffs, '|', *iv, *refine_root(p, iv, F(1, 2 ** 1024)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(frickelab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    try:
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    except subprocess.TimeoutExpired:
+        pytest.fail("refine_root did not return within 60 s")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 3 + 3 + 3
+    eps = Fraction(1, 2 ** 1024)
+    for line in lines:
+        coeffs, ends = line.split("|")
+        p = UniPoly(int(c) for c in coeffs.split())
+        lo, hi, rlo, rhi = map(Fraction, ends.split())
+        k = 0
+        while (hi - lo) / 2 ** k >= eps:
+            k += 1
+        cell = (hi - lo) / 2 ** k
+        assert rhi - rlo == cell
+        assert ((rlo - lo) / cell).denominator == 1
+        assert p.sign_at(rlo) * p.sign_at(rhi) == -1
