@@ -292,6 +292,8 @@ class FieldElement:
     def interval(self, eps) -> RatInterval:
         """Enclosure of width < eps, refining the field generator as needed."""
         eps = Fraction(eps) * self._den
+        if eps <= 0:
+            raise ValueError("eps must be positive")
         iv = next(iv for iv in self._enclosures() if iv.width() < eps)
         return RatInterval(iv.lo / self._den, iv.hi / self._den)
 

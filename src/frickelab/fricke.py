@@ -171,6 +171,14 @@ def _evaluate_box(tp: TracePoly, box: tuple[RatInterval, RatInterval, RatInterva
     power i of a coordinate with denominator d is scaled by d^(top - i),
     so every term sits over D = dx^mi * dy^mj * dz^mk.  Interval products
     are exact ranges, hence associative, so the endpoints are the same.
+
+    When every lower endpoint is >= 0 (every box inside Teichmuller
+    space, where x, y, z > 2), each monomial m is nondecreasing in each
+    coordinate, so its interval product is [m(lo), m(hi)]: the monomial at
+    the box's two corners.  The enclosure is then the sum of c m(lo) over
+    c > 0 and c m(hi) over c < 0, and its mirror, from plain products:
+    the same integers with no min/max.  Other boxes take the product
+    route term by term.
     """
     tables, den = [], 1
     for iv, top in zip(box, tp.max_exponents()):
@@ -181,6 +189,17 @@ def _evaluate_box(tp: TracePoly, box: tuple[RatInterval, RatInterval, RatInterva
         tables.append([(p_lo * d ** (top - i), p_hi * d ** (top - i)) for i, (p_lo, p_hi) in enumerate(powers)])
         den *= d ** top
     xs, ys, zs = tables
+    if all(iv.lo >= 0 for iv in box):
+        (xl, xh), (yl, yh), (zl, zh) = zip(*xs), zip(*ys), zip(*zs)
+        pos_lo = pos_hi = neg_lo = neg_hi = 0
+        for (i, j, k), c in tp.terms.items():
+            if c > 0:
+                pos_lo += c * (xl[i] * yl[j] * zl[k])
+                pos_hi += c * (xh[i] * yh[j] * zh[k])
+            else:
+                neg_lo += c * (xl[i] * yl[j] * zl[k])
+                neg_hi += c * (xh[i] * yh[j] * zh[k])
+        return RatInterval(Fraction(pos_lo + neg_hi, den), Fraction(pos_hi + neg_lo, den))
     total_lo = total_hi = 0
     for (i, j, k), c in tp.terms.items():
         lo, hi = _mul(*_mul(*xs[i], *ys[j]), *zs[k])
@@ -408,33 +427,23 @@ def trace_of(pt: FrickePoint, w: Word) -> EvalResult:
     return EvalResult(pt.kind, field._element(nums, den) if field else Fraction(nums[0], den))
 
 
-def _mpf_tuple_to_fraction(t) -> Fraction:
-    sign, man, exp, _ = t
-    man = int(man)
-    if man == 0:
-        if exp == 0:
-            return Fraction(0)
-        raise ValueError("non-finite interval endpoint")
-    v = Fraction(man) * (Fraction(2) ** int(exp))
-    return -v if sign else v
-
-
-def _iv_endpoints(x) -> tuple[Fraction, Fraction]:
-    lo, hi = x._mpi_
-    return _mpf_tuple_to_fraction(lo), _mpf_tuple_to_fraction(hi)
-
-
-def _iv_from_fraction(ctx, q: Fraction):
-    return ctx.mpf(q.numerator) / ctx.mpf(q.denominator)
-
-
 def length_of(pt: FrickePoint, w: Word, precision=Fraction(1, 2**96)) -> RatInterval:
-    """Certified enclosure of the geodesic length 2 arccosh(|tr|/2).
+    """Certified enclosure of the geodesic length 2 arccosh(|tr|/2), of
+    width < precision.
 
     Requires |tr| certified > 2 (hyperbolic element); raises
-    NonHyperbolicError otherwise or when precision runs out.
+    NonHyperbolicError otherwise or when precision runs out, and
+    ValueError when precision <= 0.
+
+    The enclosure of |tr| is clipped at 2 and sent through _arccosh_bounds
+    at 2^-p, p = _bits_needed(precision) + 32, on integers alone.  While
+    the result is too wide, the trace is enclosed 256 times tighter and p
+    grows by 64, up to 12 tries.  At interval points the box's enclosure
+    is the same at every eps, so they get one try.
     """
     precision = Fraction(precision)
+    if precision <= 0:
+        raise ValueError("precision must be positive")
     tr = trace_of(pt, w)
     eps = precision / 16
     iv_in = tr.interval(eps)
@@ -446,34 +455,82 @@ def length_of(pt: FrickePoint, w: Word, precision=Fraction(1, 2**96)) -> RatInte
         raise NonHyperbolicError(
             f"trace of {w} is not certified outside [-2, 2]: parabolic or elliptic element"
         )
-    ctx = _iv_context()
-    ctx.prec = _bits_needed(precision) + 32
+    p = _bits_needed(precision) + 32
     for _ in range(12):
         lo, hi = (iv_in.lo, iv_in.hi) if sign > 0 else (-iv_in.hi, -iv_in.lo)
-        # |tr| > 2 is certified, so the enclosure may be clipped at 2; the
-        # hull of the rigorous enclosures of both rational endpoints
-        u = ctx.mpf([_iv_from_fraction(ctx, max(lo, Fraction(2))).a, _iv_from_fraction(ctx, hi).b])
-        half = u / 2
-        val = 2 * ctx.log(half + ctx.sqrt(half * half - 1))
-        out = RatInterval(*_iv_endpoints(val))
+        # |tr| > 2 is certified, so the enclosure may be clipped at 2
+        out = _arccosh_bounds(max(lo, Fraction(2)), hi, p)
         if out.width() < precision:
             return out
         if tr.kind == "interval":
             # the box's enclosure is the same at every eps: no retry can narrow it
             break
         eps /= 256
-        ctx.prec += 64
+        p += 64
         iv_in = tr.interval(eps)
     raise NonHyperbolicError(f"length enclosure for {w} did not reach width {precision}")
 
 
-@functools.lru_cache(maxsize=None)
-def _iv_context():
-    """length_of's one mpmath interval context, made on first use: mpmath
-    is imported here, its only use, so other commands skip its import cost."""
-    import mpmath
+def _arccosh_bounds(lo: Fraction, hi: Fraction, p: int) -> RatInterval:
+    """Enclosure of 2 arccosh(u/2) = 2 ln v, v = (u + sqrt(u^2 - 4))/2, over
+    u in [lo, hi], 2 <= lo <= hi, with endpoints on the grid 2^-p.
 
-    return mpmath.ctx_iv.MPIntervalContext()
+    Both maps increase for u >= 2, so every rounding below goes down for
+    the lower endpoint and up for the upper one:
+    - u is floored at lo and ceiled at hi on the grid, and v is taken on
+      the grid from math.isqrt at the same two ends;
+    - ln v_lo = k ln 2 + ln m = k ln 2 + 2 atanh(a/b), with m = v_lo/2^s in
+      [sqrt(2)/2, sqrt(2)], k = s - p, a = v_lo - 2^s and b = v_lo + 2^s
+      exact integers, so |a/b| <= 0.18;
+    - _atanh_floor's sums, k ln 2 from _ln2 at 2^-(p+16), are lower
+      bounds with a counted ulp budget, which the upper ends add;
+    - ln is concave, so ln v_hi <= ln v_lo + (v_hi - v_lo)/v_lo.
+    """
+    u_lo = (lo.numerator << p) // lo.denominator
+    u_hi = -((-hi.numerator << p) // hi.denominator)
+    four = 4 << 2 * p
+    v_lo = (u_lo + math.isqrt(u_lo * u_lo - four)) >> 1
+    d = u_hi * u_hi - four
+    r = math.isqrt(d)
+    v_hi = (u_hi + r + (r * r < d) + 1) >> 1
+    s = v_lo.bit_length() - 1
+    if v_lo * v_lo > 2 << 2 * s:
+        s += 1
+    a, b = v_lo - (1 << s), v_lo + (1 << s)
+    t, t_ulps = _atanh_floor(abs(a), b, p)
+    atanh_lo, atanh_hi = (t, t + t_ulps) if a >= 0 else (-t - t_ulps, -t)
+    ln2, ln2_ulps = _ln2(p + 16)
+    k = s - p
+    ln_lo = (k * ln2 >> 16) + 2 * atanh_lo
+    ln_hi = -(-k * (ln2 + ln2_ulps) >> 16) + 2 * atanh_hi
+    slope = -(-(v_hi - v_lo << p) // v_lo)
+    return RatInterval(Fraction(2 * ln_lo, 1 << p), Fraction(2 * (ln_hi + slope), 1 << p))
+
+
+def _atanh_floor(a: int, b: int, p: int) -> tuple[int, int]:
+    """(S, n) with S <= 2^p atanh(a/b) < S + n, for 0 <= a/b <= 1/3.
+
+    S sums floor(x_i / (2i + 1)) over x_0 = floor(2^p a/b) and
+    x_(i+1) = floor(x_i t2 / 2^p), t2 = floor(x_0^2 / 2^p), until x_i = 0.
+    Every floor rounds down, so S is a lower bound.  Each x_i is within
+    1.75 of 2^p t^(2i+1), so each term loses < 2 ulps, and the tail after
+    the last term is < 2 ulps: n = 2 (terms + 2).
+    """
+    x = (a << p) // b
+    t2 = x * x >> p
+    total, i = 0, 1
+    while x:
+        total += x // i
+        x = x * t2 >> p
+        i += 2
+    return total, i + 3
+
+
+@functools.lru_cache(maxsize=None)
+def _ln2(p: int) -> tuple[int, int]:
+    """(L, n) with L <= 2^p ln 2 < L + n, from ln 2 = 2 atanh(1/3)."""
+    t, t_ulps = _atanh_floor(1, 3, p)
+    return 2 * t, 2 * t_ulps
 
 
 def _bits_needed(eps: Fraction) -> int:

@@ -340,7 +340,7 @@ GOLDEN_TRACE_RAW = (
     '[-23792280613258965882580581053019940507905/2722258935367507707706996859454145691648, -95169122453035863530322324212079762031605/10889035741470030830827987437816582766592]\n'
 )
 GOLDEN_LENGTH_RAW = (
-    '[201527551849504074326575274691054371375171438559787/46768052394588893382517914646921056628989841375232, 201527551849504074326575274691054371375172385089171/46768052394588893382517914646921056628989841375232]\n'
+    '[1612220414796032594612602197528434971001371508478287/374144419156711147060143317175368453031918731001856, 806110207398016297306301098764217485500689540356717/187072209578355573530071658587684226515959365500928]\n'
 )
 GOLDEN_SOLVE = (
     'x = 2.913301193131723397519357727337 ± 0.000000000000000000000000000000\n'
@@ -380,19 +380,29 @@ def test_golden_output_at_paper_point(capsys, argv, expected):
     assert run(capsys, *argv) == (0, expected, "")
 
 
-def test_mpmath_not_imported_by_verify_paper():
-    # mpmath serves length_of only; other commands should not pay its import
+def _assert_mpmath_not_imported(argv):
     code = (
         "import contextlib, io, sys\n"
         "import frickelab, frickelab.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert frickelab.cli.main(['verify-paper', '--machine']) == 0\n"
+        f"    assert frickelab.cli.main({argv!r}) == 0\n"
         "assert 'mpmath' not in sys.modules, 'mpmath imported'\n"
     )
     src = os.path.dirname(os.path.dirname(frickelab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_mpmath_not_imported_by_verify_paper():
+    # the runtime is the standard library alone: mpmath is a test oracle
+    _assert_mpmath_not_imported(["verify-paper", "--machine"])
+
+
+@pytest.mark.parametrize("command", ["length", "trace"])
+def test_mpmath_not_imported_by_length_and_trace(command):
+    # length_of encloses log and sqrt on integers, without mpmath
+    _assert_mpmath_not_imported([command, "abAAB", "--point", "paper"])
 
 
 SQUARED_QUINTIC = ("poly:", "16", "-32", "-8", "56", "-7", "-48", "12", "22", "-4", "-4", "1")

@@ -39,6 +39,13 @@ intervals = st.one_of(
     st.tuples(rationals, rationals).map(lambda ends: RatInterval(*sorted(ends))),
 )
 boxes = st.tuples(intervals, intervals, intervals)
+nonnegative = st.builds(Fraction, st.integers(0, 3000), st.sampled_from(DENOMINATORS))
+nonnegative_intervals = st.one_of(
+    nonnegative.map(RatInterval.point),
+    st.tuples(nonnegative, nonnegative).map(lambda ends: RatInterval(*sorted(ends))),
+)
+# lo >= 0 everywhere: _evaluate_box's corner route
+positive_boxes = st.tuples(nonnegative_intervals, nonnegative_intervals, nonnegative_intervals)
 monomials = st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5))
 trace_polys = st.dictionaries(monomials, st.integers(-50, 50), max_size=12).map(TracePoly)
 
@@ -67,7 +74,7 @@ def endpoints(iv):
 
 
 @settings(max_examples=300, deadline=None)
-@given(trace_polys, boxes)
+@given(trace_polys, st.one_of(boxes, positive_boxes))
 def test_box_endpoints_equal_fraction_route(tp, box):
     assert endpoints(_evaluate_box(tp, box)) == endpoints(fraction_route(tp, box))
 
@@ -86,6 +93,24 @@ def test_word_trace_polynomials_on_straddling_and_negative_boxes():
         centres = [rng.choice((0, -3, 3)) for _ in range(3)]
         box = tuple(rand_interval(rng, c, spread=2) for c in centres)
         assert endpoints(_evaluate_box(tp, box)) == endpoints(fraction_route(tp, box))
+
+
+def test_word_trace_polynomials_on_positive_boxes():
+    # boxes with lo = 0, point boxes, boxes inside T(1,1) and wide boxes
+    rng = random.Random(4242)
+    zero_lo = lambda: RatInterval(0, Fraction(rng.randint(1, 500), rng.choice(DENOMINATORS)))
+    point = lambda: RatInterval.point(Fraction(rng.randint(0, 500), rng.choice(DENOMINATORS)))
+    near_three = lambda: RatInterval(*sorted(3 + Fraction(rng.randint(-60, 60), 60 * rng.choice(DENOMINATORS)) for _ in range(2)))
+    wide = lambda: RatInterval(*sorted(Fraction(rng.randint(0, 900), rng.choice(DENOMINATORS)) for _ in range(2)))
+    kinds = (zero_lo, point, near_three, wide)
+    for _ in range(120):
+        tp = trace_polynomial(rand_word(rng, 16))
+        box = tuple(rng.choice(kinds)() for _ in range(3))
+        assert all(iv.lo >= 0 for iv in box)
+        assert endpoints(_evaluate_box(tp, box)) == endpoints(fraction_route(tp, box))
+    zero = (RatInterval.point(0),) * 3
+    tp = trace_polynomial(parse_word("abAAB"))
+    assert endpoints(_evaluate_box(tp, zero)) == endpoints(fraction_route(tp, zero))
 
 
 def test_enclosures_contain_exact_sl2_traces():
