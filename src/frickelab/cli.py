@@ -97,6 +97,8 @@ def cmd_trace(args, cfg: RunConfig) -> int:
         except OSError as exc:
             raise UsageError(f"cannot read --words-file {args.words_file}: {exc.strerror or exc}")
         words.extend(parse_word_list(text))
+        if not words and not args.word:
+            raise UsageError(f"--words-file {args.words_file} holds no words")
     if args.word:
         words.append(parse_word(args.word))
     if not words:

@@ -24,7 +24,7 @@ from .poly import (
     irreducible_over_Q,
     isolate_real_roots,
 )
-from .tracering import TracePoly, _trace_numerators, trace_polynomial
+from .tracering import TracePoly, _multiplier_table, _trace_numerators, trace_polynomial
 from .words import Word
 
 Coordinate = Union[Fraction, FieldElement, RatInterval]
@@ -42,14 +42,21 @@ class NonHyperbolicError(ValueError):
 
 
 class FrickePoint:
-    """Immutable coordinate triple; membership in T(1,1) is checked, not assumed."""
+    """Immutable coordinate triple; membership in T(1,1) is checked, not assumed.
 
-    __slots__ = ("kind", "coords", "field")
+    Exact points (rational and field kinds) also hold what trace_of needs
+    at every word: the modulus g of their field's power basis, the table
+    of the integer numerator vectors of E, E x, E y, E z and E w for
+    w = z - x y, and E, the least common denominator of x, y, z and w.
+    They are computed once, here."""
+
+    __slots__ = ("kind", "coords", "field", "_trace_data")
 
     def __init__(self, kind: str, coords: tuple, field: Optional[NumberField] = None):
         self.kind = kind  # "rational" | "field" | "interval"
         self.coords = coords
         self.field = field
+        self._trace_data = None if kind == "interval" else _trace_data(coords, field)
 
     @classmethod
     def from_rationals(cls, x, y, z) -> "FrickePoint":
@@ -99,6 +106,20 @@ class FrickePoint:
             "field": "exact elements of a shared real number field",
             "interval": "certified interval coordinates",
         }[self.kind]
+
+
+def _trace_data(coords: tuple, field: Optional[NumberField]) -> tuple:
+    """(g, multiplier table, E) of an exact point for
+    tracering._trace_numerators: a rational is the degree-1 case, g = t."""
+    x, y, z = coords
+    if field:
+        parts = [(c._nums, c._den) for c in (field.from_rational(1), x, y, z, z - x * y)]
+        g = field._monic
+    else:
+        parts = [((c.numerator,), c.denominator) for c in (1, x, y, z, z - x * y)]
+        g = (0, 1)
+    e = math.lcm(*(den for _, den in parts))
+    return g, _multiplier_table([[v * (e // den) for v in vs] for vs, den in parts]), e
 
 
 def _coord_interval(c: Coordinate, eps) -> RatInterval:
@@ -396,15 +417,16 @@ def trace_of(pt: FrickePoint, w: Word) -> EvalResult:
     """tr(w) at the point.
 
     At rational and field points: tracering's letter rules, run once on
-    integer numerators (tracering._trace_numerators).  E is the least
-    common denominator of x, y, z and w = z - x y; after L letters the
-    coefficients sit over E^L and the trace over E^(L+1).  Field elements
-    are stored as numerators on the power basis of a root of the field's
-    monic integer polynomial g (see NumberField), and a rational is the
-    degree-1 case g = t, so both kinds take the same pass and each new
-    coefficient is reduced once modulo g, with no gcd.  The value is put
-    in lowest terms once, at the end: a reduction and a gcd per product
-    and per sum were most of the cost of trace_in over FieldElements.
+    integer numerators (tracering._trace_numerators) from the point's own
+    _trace_data.  E is the least common denominator of x, y, z and
+    w = z - x y; after L letters the coefficients sit over E^L and the
+    trace over E^(L+1).  Field elements are stored as numerators on the
+    power basis of a root of the field's monic integer polynomial g (see
+    NumberField), and a rational is the degree-1 case g = t, so both kinds
+    take the same pass and each new coefficient is reduced once modulo g,
+    with no gcd.  The value is put in lowest terms once, at the end: a
+    reduction and a gcd per product and per sum were most of the cost of
+    trace_in over FieldElements.
 
     At interval points the expanded polynomial is evaluated over the
     coordinate box on integer numerators over one common denominator (see
@@ -414,17 +436,10 @@ def trace_of(pt: FrickePoint, w: Word) -> EvalResult:
     its enclosure has a fixed width."""
     if pt.kind == "interval":
         return evaluate_at_point(trace_polynomial(w), pt)
-    field, (x, y, z) = pt.field, pt.coords
-    if field:
-        coords = (field.from_rational(1), x, y, z, z - x * y)
-        g, parts = field._monic, [(c._nums, c._den) for c in coords]
-    else:
-        coords = (1, x, y, z, z - x * y)
-        g, parts = (0, 1), [((c.numerator,), c.denominator) for c in coords]
-    e = math.lcm(*(den for _, den in parts))
-    nums = _trace_numerators(w.letters, [[v * (e // den) for v in vs] for vs, den in parts], g)
+    g, table, e = pt._trace_data
+    nums = _trace_numerators(w.letters, table, g)
     den = e ** (len(w.letters) + 1)
-    return EvalResult(pt.kind, field._element(nums, den) if field else Fraction(nums[0], den))
+    return EvalResult(pt.kind, pt.field._element(nums, den) if pt.field else Fraction(nums[0], den))
 
 
 def length_of(pt: FrickePoint, w: Word, precision=Fraction(1, 2**96)) -> RatInterval:

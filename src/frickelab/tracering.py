@@ -13,29 +13,62 @@ in this basis in one left-to-right pass and returns
 tr(w) = 2 c0 + X c1 + Y c2 + Z c3.
 
 trace_polynomial runs the same updates over a packed image of
-Z[X, Y, Z].  An element is a dict from one int key i + j * 2^32, for the
-monomial X^i Y^j, to one int: that monomial's polynomial in Z evaluated
-at 2^s.  Multiplying by X or Y adds a fixed offset to the keys, by Z
-shifts the values by s bits, and by W = Z - XY is one such shift plus one
-keyed subtraction.  The updates are one table of formulas, one per letter
-and new coefficient, each a signed sum of old coefficients times 1, X, Y,
-Z or W; it is resolved into key offsets and shift flags once, at import.
-A coefficient is a (dict, sign) pair, and each new one is built in one
-dict: a copy of its first source, moved, with the others added in place.
-A new coefficient that is an old one unmoved, such as c3 = -c2 for a, is
-that dict relabelled with a sign flip, not copied.  Z -> 2^s is a ring
-homomorphism, so the pass computes the image of tr(w), and a value that
-cancels to zero is zero in the image ring too.  The image is decoded
-once, by reading balanced s-bit digits.
+Z[X, Y, Z] and decodes the image of tr(w) once.  The updates are one
+table of formulas, one per letter and new coefficient, each a signed sum
+of old coefficients times 1, X, Y, Z or W = Z - XY; it is resolved once,
+at import, for both layouts below.  Each layout is the image of a ring
+homomorphism, so the pass computes the image of tr(w), a value that
+cancels to zero is zero in the image too, and only tr(w) itself has to
+decode.  n_a and n_b count the letters a, A and b, B.
 
-That decoding is exact when 2^(s-1) exceeds every coefficient of tr(w),
-so s comes from the bound ||tr w||_1 <= 2 * 5^n_a * 2^n_b, where n_a
-and n_b count the letters a, A and b, B.  Proof: let N be the sum of the
-l1 norms of c0, c1, c2, c3, and note ||X|| = ||Y|| = ||Z|| = 1 and
-||Z - XY|| = 2.  In the update for a, the old c0, c1, c2, c3 enter the
-new ones with total weights 1, 2, 5, 3, so N grows at most 5-fold; for A
-the weights are 2, 1, 4, 4, for b 1, 1, 2, 2 and for B 2, 2, 1, 1.  N
-starts at 1, and 2 c0 + X c1 + Y c2 + Z c3 at most doubles it.
+The Kronecker layout (von zur Gathen & Gerhard, Modern Computer Algebra,
+section 8.4) maps X -> 2^h, Y -> 2^(hU) and Z -> 2^(h + hU + 2hUV), with
+h = s/2, U = n_a // 2 + 1 and V = n_b // 2 + 1.  A coefficient is one
+int, a multiplier is one shift and W is two, so a letter costs about a
+dozen shifts and adds.  X^i Y^j Z^k maps to 2^(h(i + k) + hU(j + k) +
+2hUV k), and three facts about the monomials of tr(w) place it:
+- i + k <= n_a.  Give 1, A, B, AB the a-weights 0, 1, 0, 1, and X, Z
+  a-degree 1 (Y and W a-degree 0 and 1).  After some letters, c_m has
+  a-degree at most (a-letters so far) - (a-weight of m): every term of
+  every formula keeps this bound, which rises by 1 for a and A and stays
+  for b and B, so the rules raise the a-degree by at most 1 per a-letter;
+  and each term of 2 c0 + X c1 + Y c2 + Z c3 is within n_a.
+- i + k = n_a (mod 2).  A -> -A sends a representation to another, with
+  traces -X, Y, -Z, and tr w to (-1)^n_a tr w.  The polynomial giving
+  tr(w) is unique, so P(-X, Y, -Z) = (-1)^n_a P(X, Y, Z), and each of
+  its monomials has (-1)^(i+k) = (-1)^n_a.
+- j + k <= n_b and j + k = n_b (mod 2), the same way with the b-weights
+  0, 0, 1, 1, Y and Z of b-degree 1, and B -> -B.
+So i + k = pa + 2u' and j + k = pb + 2v', with pa, pb = n_a, n_b mod 2,
+0 <= u' < U, 0 <= v' < V and k <= min(n_a, n_b), and the exponent is
+h(pa + U pb) + s(u' + U v' + UV k).  Shifted right by h(pa + U pb), the
+image holds each coefficient as the balanced s-bit digit at its own slot
+u' + U v' + UV k of a box of U V (min(n_a, n_b) + 1) s bits.
+
+The Z-packed dicts hold an element as a dict from one int key
+i + j * 2^32, for the monomial X^i Y^j, to one int: that monomial's
+polynomial in Z evaluated at 2^s.  Multiplying by X or Y adds a fixed
+offset to the keys, by Z shifts the values by s bits, and by W is one
+such shift plus one keyed subtraction.  A coefficient is a (dict, sign)
+pair, and each new one is built in one dict: a copy of its first source,
+moved, with the others added in place.  A new coefficient that is an old
+one unmoved, such as c3 = -c2 for a, is that dict relabelled with a sign
+flip, not copied.  Each value is decoded as balanced s-bit digits.
+
+The Kronecker box is sized by the word's letter counts, not by its
+terms: (ab)^500 would need about 52 Gbit (6.6 GB) for a trace of 251
+terms, which the dicts hold under one key.  So the Kronecker layout runs
+when its box is at most _KRONECKER_BITS = 2^16 bits, which every word of
+up to 31 letters meets, and the dicts run otherwise.
+
+Both decodings are exact when 2^(s-1) exceeds every coefficient of
+tr(w), so s comes from the bound ||tr w||_1 <= 2 * 5^n_a * 2^n_b.
+Proof: let N be the sum of the l1 norms of c0, c1, c2, c3, and note
+||X|| = ||Y|| = ||Z|| = 1 and ||Z - XY|| = 2.  In the update for a, the
+old c0, c1, c2, c3 enter the new ones with total weights 1, 2, 5, 3, so
+N grows at most 5-fold; for A the weights are 2, 1, 4, 4, for b 1, 1, 2,
+2 and for B 2, 2, 1, 1.  N starts at 1, and 2 c0 + X c1 + Y c2 + Z c3 at
+most doubles it.
 
 fricke.trace_of at rational and number-field points runs the same table
 once more, on integers (_trace_numerators).  With E the least common
@@ -323,19 +356,25 @@ def trace_in(letters, x, y, z, one, zero):
 
 def trace_polynomial(w: Word) -> TracePoly:
     """The integer polynomial in X, Y, Z giving tr(w): the letter rules of
-    trace_in over the packed ring, decoded once."""
+    trace_in over a packed image of Z[X, Y, Z], decoded once.
+
+    The image is the Kronecker layout (_kronecker_trace) when its box of
+    U V (min(n_a, n_b) + 1) s-bit digits fits in _KRONECKER_BITS, and the
+    Z-packed dicts (_z_packed_trace) otherwise: see the module docstring."""
     n_a = sum(1 for gen, _ in w.letters if gen == "a")
     n_b = len(w.letters) - n_a
     # tr w has l1 norm at most 2 * 5^n_a * 2^n_b (module docstring), so
-    # s-bit balanced digits hold its coefficients; s is a whole number of bytes
+    # s-bit balanced digits hold its coefficients; s is a whole number of
+    # bytes, so h = s/2 is whole too
     s = (((2 * 5 ** n_a) << n_b).bit_length() + 8) // 8 * 8
-    cs = [({0: 1}, 1), ({}, 1), ({}, 1), ({}, 1)]
-    for letter in w.letters:
-        cs = [_combine(rule, cs, s) for rule in _PACKED_RULES[letter]]
-    terms, sign = _combine(_PACKED_TRACE, cs, s)
-    p = _decode(terms, s)
-    return p if sign > 0 else -p
+    if (n_a // 2 + 1) * (n_b // 2 + 1) * (min(n_a, n_b) + 1) * s <= _KRONECKER_BITS:
+        return _kronecker_trace(w.letters, n_a, n_b, s)
+    return _z_packed_trace(w.letters, s)
 
+
+# The largest Kronecker box, in bits.  Every word of up to 31 letters fits;
+# a sparse long word such as (ab)^500 would need gigabits.
+_KRONECKER_BITS = 1 << 16
 
 # A packed key is i + j * 2^32 for X^i Y^j.  The degree in X is at most
 # n_a + 1, and no word that fits in memory has 2^32 a-letters.
@@ -351,14 +390,16 @@ _LETTER_RULES = {
 }
 _TRACE_RULE = "c0 + c0 + X*c1 + Y*c2 + Z*c3"
 
-# each multiplier as signed packed monomials (key offset, Z shift, sign)
+# each multiplier as signed monomials (exponents of X, Y, Z; sign)
 _MONOMIALS = {
-    "1": ((0, False, 1),),
-    "X": ((_KEY_X, False, 1),),
-    "Y": ((_KEY_Y, False, 1),),
-    "Z": ((0, True, 1),),
-    "W": ((0, True, 1), (_KEY_X + _KEY_Y, False, -1)),
+    "1": (((0, 0, 0), 1),),
+    "X": (((1, 0, 0), 1),),
+    "Y": (((0, 1, 0), 1),),
+    "Z": (((0, 0, 1), 1),),
+    "W": (((0, 0, 1), 1), ((1, 1, 0), -1)),
 }
+# the monomials of _MONOMIALS in the order of a Kronecker shift table
+_SHIFTED = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0))
 
 
 def _rule_terms(formula: str) -> tuple[tuple[int, int, str], ...]:
@@ -372,20 +413,90 @@ def _rule_terms(formula: str) -> tuple[tuple[int, int, str], ...]:
 
 
 def _packed_rule(formula: str) -> tuple:
-    """The formula's first packed source (old index, sign, key offset, Z
-    shift) and the rest (old index, sign, key offset).  The source that
-    shifts goes first, the only one copied with a shift: every formula has
-    at most one, and v << 0 would copy a big int too."""
+    """The formula resolved for both packed layouts: a pair for each.
+
+    For the Kronecker layout, its first source (old index, sign, index
+    into the shift table) and the rest; a positive source goes first, as
+    the sum starts from it, not from 0.  For the Z-packed dicts, its first
+    source (old index, sign, key offset, Z shift) and the rest (old index,
+    sign, key offset).  The source that shifts goes first there, the only
+    one copied with a shift: every formula has at most one, and v << 0
+    would copy a big int too."""
     sources = [
-        (i, sign * g, dk, z) for i, sign, multiplier in _rule_terms(formula) for dk, z, g in _MONOMIALS[multiplier]
+        (i, sign * g, mono)
+        for i, sign, multiplier in _rule_terms(formula)
+        for mono, g in _MONOMIALS[multiplier]
     ]
-    first, *rest = sorted(sources, key=lambda source: not source[3])
+    first, *rest = sorted(
+        ((i, g, x * _KEY_X + y * _KEY_Y, z) for i, g, (x, y, z) in sources), key=lambda source: not source[3]
+    )
     assert not any(z for *_, z in rest), formula
-    return first, tuple((i, g, dk) for i, g, dk, _ in rest)
+    shifted = sorted(((i, g, _SHIFTED.index(mono)) for i, g, mono in sources), key=lambda source: source[1] < 0)
+    return (shifted[0], tuple(shifted[1:])), (first, tuple((i, g, dk) for i, g, dk, _ in rest))
 
 
 _PACKED_RULES = {letter: tuple(map(_packed_rule, rules)) for letter, rules in _LETTER_RULES.items()}
 _PACKED_TRACE = _packed_rule(_TRACE_RULE)
+
+
+def _kronecker_trace(letters, n_a: int, n_b: int, s: int) -> TracePoly:
+    """tr(w) under X -> 2^h, Y -> 2^(hU), Z -> 2^(h + hU + 2hUV), h = s/2,
+    U = n_a // 2 + 1 and V = n_b // 2 + 1: each coefficient one int, each
+    monomial of a multiplier one shift (module docstring)."""
+    u, v, h = n_a // 2 + 1, n_b // 2 + 1, s // 2
+    x, y, z = h, h * u, h + h * u + s * u * v
+    shifts = tuple(i * x + j * y + k * z for i, j, k in _SHIFTED)
+    cs = [1, 0, 0, 0]
+    for letter in letters:
+        cs = [_shifted_sum(rule[0], cs, shifts) for rule in _PACKED_RULES[letter]]
+    # every exponent of tr(w) is at least this one (module docstring)
+    t = _shifted_sum(_PACKED_TRACE[0], cs, shifts) >> x * (n_a % 2) + y * (n_b % 2)
+    # the balanced digit c at slot u' + U v' + U V k is c X^i Y^j Z^k for
+    # i + k = n_a % 2 + 2u' and j + k = n_b % 2 + 2v'; adding 2^(s-1) to
+    # every digit makes them all nonnegative, so each is read on its own
+    top = min(n_a, n_b)
+    width, half = s // 8, 1 << (s - 1)
+    slots = u * v * (top + 1)
+    raw = (t + int.from_bytes(half.to_bytes(width, "little") * slots, "little")).to_bytes(slots * width, "little")
+    terms: dict[Monomial, int] = {}
+    read = int.from_bytes
+    for k in range(top + 1):
+        i0 = (n_a - k) % 2
+        for j in range((n_b - k) % 2, n_b - k + 1, 2):
+            o = ((k * v + (j + k) // 2) * u + (i0 + k) // 2) * width
+            for i in range(i0, n_a - k + 1, 2):
+                d = read(raw[o:o + width], "little") - half
+                if d:
+                    terms[i, j, k] = d
+                o += width
+    return TracePoly._trusted(terms)
+
+
+def _shifted_sum(sources, cs, shifts) -> int:
+    """The signed sum of the sources (old index, sign, shift index) over
+    the Kronecker images cs, each shifted by its multiplier's exponent."""
+    (i, sign, m), rest = sources
+    total = cs[i] << shifts[m] if m else cs[i]
+    if sign < 0:
+        total = -total
+    for i, sign, m in rest:
+        c = cs[i] << shifts[m] if m else cs[i]
+        if sign > 0:
+            total += c
+        else:
+            total -= c
+    return total
+
+
+def _z_packed_trace(letters, s: int) -> TracePoly:
+    """tr(w) over dicts from X^i Y^j keys to polynomials in Z under
+    Z -> 2^s (module docstring)."""
+    cs = [({0: 1}, 1), ({}, 1), ({}, 1), ({}, 1)]
+    for letter in letters:
+        cs = [_combine(rule[1], cs, s) for rule in _PACKED_RULES[letter]]
+    terms, sign = _combine(_PACKED_TRACE[1], cs, s)
+    p = _decode(terms, s)
+    return p if sign > 0 else -p
 
 
 def _combine(rule, cs, s: int) -> tuple[dict[int, int], int]:
@@ -449,23 +560,28 @@ _EXACT_RULES = {letter: tuple(map(_rule_terms, rules)) for letter, rules in _LET
 _EXACT_TRACE = _rule_terms(_TRACE_RULE)
 
 
-def _trace_numerators(letters, multipliers, g) -> list[int]:
-    """Integer numerators of tr(w) at a point, over E^(L+1) for L letters.
-
-    multipliers are E, E x, E y, E z and E w, for w = z - x y, as integer
-    vectors in a power basis 1, t, ..., t^(n-1) of the coordinates' field,
-    where t is a root of the monic integer g (ascending coefficients) of
-    degree n and E is a common denominator of x, y, z and w.  A rational
-    point has g = t.  The letter rules of trace_in, read from
-    _LETTER_RULES, keep each c0..c3 as n numerators over E^k after k
-    letters.
-    """
-    # each multiplier with each sign as its nonzero entries (slot, value)
-    table = {
+def _multiplier_table(multipliers) -> dict:
+    """Each of the multipliers 1, X, Y, Z, W at a point, given as integer
+    vectors, with each sign, as its nonzero entries (slot, value): the
+    table that _trace_numerators reads."""
+    return {
         (name, sign): [(k, sign * m) for k, m in enumerate(vector) if m]
         for name, vector in zip("1XYZW", multipliers)
         for sign in (1, -1)
     }
+
+
+def _trace_numerators(letters, table, g) -> list[int]:
+    """Integer numerators of tr(w) at a point, over E^(L+1) for L letters.
+
+    table is _multiplier_table of E, E x, E y, E z and E w, for
+    w = z - x y, as integer vectors in a power basis 1, t, ..., t^(n-1) of
+    the coordinates' field, where t is a root of the monic integer g
+    (ascending coefficients) of degree n and E is a common denominator of
+    x, y, z and w.  A rational point has g = t.  The letter rules of
+    trace_in, read from _LETTER_RULES, keep each c0..c3 as n numerators
+    over E^k after k letters.
+    """
     # the zero coefficients start with no entries: their products add nothing
     cs = [[1] + [0] * (len(g) - 2), [], [], []]
     for letter in letters:

@@ -73,8 +73,17 @@ class Word:
 
 
 def _reduce(letters: Iterable[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
+    """The letters freely reduced; ValueError names the first that is not
+    ("a", 1), ("a", -1), ("b", 1) or ("b", -1)."""
     out: list[tuple[str, int]] = []
-    for g, e in letters:
+    for letter in letters:
+        try:
+            g, e = letter
+            valid = (g, e) in _LETTER_ORDER
+        except (TypeError, ValueError):
+            valid = False
+        if not valid:
+            raise ValueError(f"malformed letter {letter!r}: a letter is ('a' or 'b', 1 or -1)")
         if out and out[-1][0] == g and out[-1][1] == -e:
             out.pop()
         else:

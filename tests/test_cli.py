@@ -150,6 +150,15 @@ def test_trace_missing_words_file(capsys, tmp_path):
     assert err.startswith(f"usage error: cannot read --words-file {missing}")
 
 
+@pytest.mark.parametrize("text", ["", "# only a comment\n\n   # and another\n"])
+def test_trace_empty_words_file(capsys, tmp_path, text):
+    f = tmp_path / "words.txt"
+    f.write_text(text)
+    assert run(capsys, "trace", "--words-file", str(f)) == (2, "", f"usage error: --words-file {f} holds no words\n")
+    # a word argument next to it is still traced
+    assert run(capsys, "trace", "aab", "--words-file", str(f)) == (0, "X*Z - Y\n", "")
+
+
 def test_variety_thma(capsys):
     code, out, _ = run(
         capsys, "variety", "thmA", "--gens", "a", "--minpoly", "{1}:poly: -3 1", "--point", "3,3,3"

@@ -1,6 +1,7 @@
-"""trace_polynomial, which runs the letter rules of trace_in over the
-packed ring, against trace_in over TracePoly, against exact SL(2, Q)
-matrices and against a pinned digest of its output."""
+"""trace_polynomial, which runs the letter rules of trace_in over a
+packed image of the ring (the Kronecker layout for short words, the
+Z-packed dicts for the rest), against trace_in over TracePoly, against
+exact SL(2, Q) matrices and against a pinned digest of its output."""
 
 import hashlib
 import random
@@ -8,6 +9,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from frickelab import tracering
 from frickelab.tracering import TracePoly, format_tracepoly, trace_in, trace_polynomial
 from frickelab.words import Word, parse_word
 
@@ -42,6 +44,16 @@ def check(w: Word) -> TracePoly:
     return p
 
 
+def sl2q_check(p: TracePoly, w: Word, rng: random.Random, points: int = 2) -> None:
+    """tr(w) from p at the traces of random SL(2, Q) matrices A, B equals
+    the trace of the matrix word."""
+    for _ in range(points):
+        A, B = random_sl2_rational(rng), random_sl2_rational(rng)
+        ab = mat_mul(A, B)
+        m = word_matrix(w, A, B)
+        assert p.evaluate(A[0][0] + A[1][1], B[0][0] + B[1][1], ab[0][0] + ab[1][1]) == m[0][0] + m[1][1], w
+
+
 @st.composite
 def reduced_words(draw, max_len=80):
     """Freely reduced words: each letter is one of the three that do not
@@ -57,13 +69,7 @@ def reduced_words(draw, max_len=80):
 @settings(max_examples=30, deadline=None)
 @given(reduced_words(), st.integers(0, 2**32))
 def test_packed_expansion_matches_tracepoly_pass_and_sl2q_matrices(w, seed):
-    p = check(w)
-    rng = random.Random(seed)
-    A, B = random_sl2_rational(rng), random_sl2_rational(rng)
-    ab = mat_mul(A, B)
-    m = word_matrix(w, A, B)
-    x, y, z = A[0][0] + A[1][1], B[0][0] + B[1][1], ab[0][0] + ab[1][1]
-    assert p.evaluate(x, y, z) == m[0][0] + m[1][1]
+    sl2q_check(check(w), w, random.Random(seed), points=1)
 
 
 @pytest.mark.parametrize("base", ["a", "b", "ab", "aB", "aab", "AAB"])
@@ -112,3 +118,119 @@ def test_golden_digest_of_the_packed_pass():
     for w in golden_words():
         h.update(format_tracepoly(trace_polynomial(w)).encode() + b"\n")
     assert h.hexdigest() == GOLDEN_DIGEST
+
+
+# -- the two layouts and the size rule between them -----------------------------
+
+
+def counts(w: Word) -> tuple[int, int]:
+    n_a = sum(1 for gen, _ in w.letters if gen == "a")
+    return n_a, len(w) - n_a
+
+
+def slot_bits(w: Word) -> int:
+    """s: whole bytes with room for a sign bit over the l1 bound."""
+    return (l1_bound(w).bit_length() + 8) // 8 * 8
+
+
+def box_bits(w: Word) -> int:
+    """U V (min(n_a, n_b) + 1) s: the Kronecker image's size in bits."""
+    n_a, n_b = counts(w)
+    return (n_a // 2 + 1) * (n_b // 2 + 1) * (min(n_a, n_b) + 1) * slot_bits(w)
+
+
+@pytest.fixture
+def layouts(monkeypatch):
+    """The layout that each trace_polynomial call takes, in call order."""
+    taken = []
+    for name in ("_kronecker_trace", "_z_packed_trace"):
+        def spy(*args, name=name, fn=getattr(tracering, name)):
+            taken.append(name)
+            return fn(*args)
+        monkeypatch.setattr(tracering, name, spy)
+    return taken
+
+
+def random_word(rng: random.Random, n: int, a_share: float = 0.5) -> Word:
+    """A freely reduced word of n letters, each an a-letter with
+    probability a_share."""
+    letters = []
+    while len(letters) < n:
+        letter = ("a" if rng.random() < a_share else "b", rng.choice((1, -1)))
+        if not letters or letter != (letters[-1][0], -letters[-1][1]):
+            letters.append(letter)
+    return Word(letters)
+
+
+def test_both_layouts_against_sl2q_matrices_on_either_side_of_the_size_rule(layouts):
+    rng = random.Random(23)
+    seen = {True: 0, False: 0}
+    while min(seen.values()) < 12:
+        w = random_word(rng, rng.randint(24, 40), rng.choice((0.2, 0.5, 0.8)))
+        fits = box_bits(w) <= 1 << 16
+        if seen[fits] >= 12:
+            continue
+        seen[fits] += 1
+        sl2q_check(check(w), w, rng)
+        assert layouts.pop() == ("_kronecker_trace" if fits else "_z_packed_trace")
+
+
+def test_kronecker_layout_against_sl2q_matrices_and_the_z_packed_dicts(layouts):
+    rng = random.Random(5)
+    for _ in range(150):
+        w = random_word(rng, rng.randint(0, 31))
+        p = check(w)
+        # every word of up to 31 letters fits the box
+        assert layouts.pop() == "_kronecker_trace"
+        sl2q_check(p, w, rng, points=1)
+        assert tracering._z_packed_trace(w.letters, slot_bits(w)) == p
+
+
+@pytest.mark.parametrize("text", ["a" * 15 + "b" * 16, "ab" * 15 + "a", "Ab" * 16, "aab" * 6 + "b" * 4 + "ab" * 3])
+def test_words_with_their_box_exactly_at_the_bound(monkeypatch, layouts, text):
+    w = parse_word(text)
+    expected = reference(w)
+    rng = random.Random(text)
+    for bound, layout in ((box_bits(w), "_kronecker_trace"), (box_bits(w) - 1, "_z_packed_trace")):
+        monkeypatch.setattr(tracering, "_KRONECKER_BITS", bound)
+        p = trace_polynomial(w)
+        assert layouts.pop() == layout
+        assert p == expected
+        sl2q_check(p, w, rng, points=1)
+
+
+def test_the_largest_boxes_under_and_over_the_default_bound(layouts):
+    # no (n_a, n_b) has a box of exactly 2^16 bits; 64512 and 65856 are
+    # the nearest on either side
+    for text, bits, layout in (
+        ("a" * 15 + "b" * 16, 64512, "_kronecker_trace"),
+        ("b" * 15 + "a" * 16, 64512, "_kronecker_trace"),
+        ("a" * 13 + "b" * 22, 65856, "_z_packed_trace"),
+    ):
+        w = parse_word(text)
+        assert box_bits(w) == bits
+        check(w)
+        assert layouts.pop() == layout
+
+
+@pytest.mark.parametrize("base, n", [("ab", 500), ("aB", 200), ("aab", 60)])
+def test_sparse_long_words_take_the_z_packed_dicts(monkeypatch, base, n):
+    def refuse(*args):
+        raise AssertionError("the Kronecker box of this word needs far more than 2^16 bits")
+
+    sentinel = TracePoly.constant(7)
+    monkeypatch.setattr(tracering, "_kronecker_trace", refuse)
+    monkeypatch.setattr(tracering, "_z_packed_trace", lambda letters, s: sentinel)
+    assert trace_polynomial(parse_word(base) ** n) is sentinel
+
+
+def test_degree_and_parity_facts_behind_the_kronecker_decoding():
+    # every monomial X^i Y^j Z^k of tr(w) has i + k <= n_a, i + k = n_a
+    # (mod 2), and the same for j and b, checked on trace_in over TracePoly
+    rng = random.Random(11)
+    for _ in range(60):
+        w = random_word(rng, rng.randint(0, 14))
+        n_a, n_b = counts(w)
+        for i, j, k in reference(w).terms:
+            assert i + k <= n_a and (n_a - i - k) % 2 == 0, w
+            assert j + k <= n_b and (n_b - j - k) % 2 == 0, w

@@ -182,3 +182,26 @@ def test_length_of_at_the_non_monic_markov_point():
             assert lo - slack <= expected <= hi + slack, w
             checked += 1
         assert checked >= 20
+
+
+@pytest.mark.parametrize("name", ["rational", "markov", "cubic"])
+def test_per_point_trace_data_is_made_once_with_the_point(monkeypatch, name):
+    import frickelab.fricke as fricke
+
+    made = []
+    real = fricke._trace_data
+    monkeypatch.setattr(fricke, "_trace_data", lambda *args: made.append(args) or real(*args))
+    pt = {
+        "rational": lambda: FrickePoint.from_rationals(Fraction(1, 2), Fraction(-7, 3), Fraction(5, 11)),
+        "markov": lambda: sample_markov_point(Fraction(3), Fraction(16, 5)),
+        "cubic": cubic_point,
+    }[name]()
+    assert len(made) == 1
+    one, zero = (pt.field.from_rational(1), pt.field.from_rational(0)) if pt.field else (Fraction(1), Fraction(0))
+    rng = random.Random(7272)
+    for w in [parse_word("1"), parse_word("abAAB")] + [rand_word(rng, 12) for _ in range(5)]:
+        # the per-point data gives the value that trace_in gives on the coordinates
+        assert trace_of(pt, w).value == trace_in(w.letters, *pt.coords, one, zero), w
+    assert len(made) == 1
+    interval = FrickePoint.from_intervals(*pt.coordinate_intervals(Fraction(1, 2**64)))
+    assert interval._trace_data is None and len(made) == 1

@@ -86,3 +86,19 @@ def test_cyclic_reduce_idempotent(w):
 def test_word_list_files():
     text = "# generators\na\nab  # a times b\n\nB\n"
     assert [str(w) for w in parse_word_list(text)] == ["a", "ab", "B"]
+
+
+@pytest.mark.parametrize(
+    "bad", [("a", 2), ("c", 1), ("A", 1), ("b", 0), ("a",), "ab", ("a", 1, 1), 7, (["a"], 1)]
+)
+def test_malformed_letters_are_rejected_at_construction(bad):
+    # anywhere in the word, also next to a letter it would cancel with
+    for letters in ([bad], [("a", 1), bad], [("b", -1), ("b", 1), bad, ("a", 1)]):
+        with pytest.raises(ValueError, match="malformed letter") as info:
+            Word(letters)
+        assert repr(bad) in str(info.value)
+
+
+def test_well_formed_letters_in_any_sequence_type():
+    assert Word([["a", 1], ("b", -1)]) == parse_word("aB")
+    assert Word(iter([("a", -1), ("a", 1)])) == IDENTITY
