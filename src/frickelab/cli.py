@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import algebraic, fricke, variety
 from .intervals import PrecisionError, RatInterval, format_interval
-from .poly import UniPoly, format_poly, isolate_real_roots, parse_poly, sturm_count, NEG_INF, POS_INF
+from .poly import UniPoly, format_poly, parse_poly
 from .tracering import format_tracepoly, trace_polynomial
 from .words import Word, parse_word, parse_word_list
 
@@ -254,19 +254,21 @@ def _attempt(make, *args):
         return exc
 
 
-def _stage_elimination(q: UniPoly, cfg: RunConfig) -> tuple[bool, str]:
+def _stage_elimination(pt: fricke.FrickePoint, cfg: RunConfig) -> tuple[bool, str]:
+    q = pt.field.defining
     expected = UniPoly([-4, 4, 3, -4, -2, 1])
     # eliminate_pattern_system cross-checks both routes and raises AssertionError if they differ
     return q == expected, f"quintic {format_poly(q)}; elimination routes agree: True"
 
 
-def _stage_uniqueness(q: UniPoly, cfg: RunConfig) -> tuple[bool, str]:
-    n = sturm_count(q, NEG_INF, POS_INF)
+def _stage_uniqueness(pt: fricke.FrickePoint, cfg: RunConfig) -> tuple[bool, str]:
+    _, n = pt._isolation
     return n == 1, f"real root count {n}"
 
 
-def _stage_refinement(q: UniPoly, cfg: RunConfig) -> tuple[bool, str]:
-    root = algebraic.make_algebraic(q, isolate_real_roots(q)[0]).refined(Fraction(1, 10 ** 6))
+def _stage_refinement(pt: fricke.FrickePoint, cfg: RunConfig) -> tuple[bool, str]:
+    isolated, _ = pt._isolation
+    root = isolated.refined(Fraction(1, 10 ** 6))
     lo_digits = int(root.lo * 10 ** 5)
     hi_digits = int(root.hi * 10 ** 5)
     ok = lo_digits == hi_digits == 291330
@@ -308,17 +310,16 @@ def _stage_trace_identity(_, cfg: RunConfig) -> tuple[bool, str]:
 
 
 def _stage_patterns(pt: fricke.FrickePoint, cfg: RunConfig) -> tuple[bool, str]:
-    first = variety.pattern_member(parse_word("a"), parse_word("b"), pt)
-    second = variety.pattern_member(parse_word("aa"), parse_word("aab"), pt)
-    ok = first == variety.IN and second == variety.IN
-    return ok, f"(a, b): {first}; (aa, aab): {second}"
+    verdicts = [(u, v, variety.pattern_member(u, v, pt)) for u, v in fricke.PATTERN_PAIRS]
+    ok = all(verdict == variety.IN for _, _, verdict in verdicts)
+    return ok, "; ".join(f"({u}, {v}): {verdict}" for u, v, verdict in verdicts)
 
 
 # (stage, the artifact it checks, check)
 _STAGES = (
-    ("elimination", "quintic", _stage_elimination),
-    ("uniqueness", "quintic", _stage_uniqueness),
-    ("refinement", "quintic", _stage_refinement),
+    ("elimination", "point", _stage_elimination),
+    ("uniqueness", "point", _stage_uniqueness),
+    ("refinement", "point", _stage_refinement),
     ("membership", "point", _stage_membership),
     ("irreducibility", "point", _stage_irreducibility),
     ("galois", "report", _stage_galois),
@@ -329,11 +330,11 @@ _STAGES = (
 
 
 def cmd_verify_paper(args, cfg: RunConfig) -> int:
-    q = _attempt(fricke.eliminate_pattern_system)
+    # the solved point carries the quintic, its isolation and its irreducibility witness
+    pt = _attempt(fricke.solve_pattern_system, cfg.precision_bits)
     artifacts = {
-        "quintic": q,
-        "point": _attempt(fricke.solve_pattern_system, cfg.precision_bits),
-        "report": q if isinstance(q, Exception) else _attempt(algebraic.non_arithmeticity_report, q, cfg.prime_bound),
+        "point": pt,
+        "report": pt if isinstance(pt, Exception) else _attempt(algebraic.non_arithmeticity_report, pt.field.defining, cfg.prime_bound),
     }
     all_ok = True
     for name, needs, check in _STAGES:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .algebraic import AlgebraicReal, FieldElement, NumberField, make_algebraic
-from .intervals import PrecisionError, RatInterval, _mul, _numerators
+from .intervals import PrecisionError, RatInterval, _numerators
 from .poly import (
     UniPoly,
     _sylvester_rows,
@@ -25,7 +25,7 @@ from .poly import (
     isolate_real_roots,
 )
 from .tracering import TracePoly, _multiplier_table, _trace_numerators, trace_polynomial
-from .words import Word
+from .words import Word, parse_word
 
 Coordinate = Union[Fraction, FieldElement, RatInterval]
 
@@ -35,6 +35,10 @@ MARKOV = (
     + TracePoly.variable("Z") ** 2
     - TracePoly.variable("X") * TracePoly.variable("Y") * TracePoly.variable("Z")
 )
+
+# The paper's equal-length pattern: two pairs (u, v) of P_g, whose closed
+# geodesics have equal length at the solved point, so tr u = tr v there.
+PATTERN_PAIRS = tuple((parse_word(u), parse_word(v)) for u, v in (("a", "b"), ("aa", "aab")))
 
 
 class NonHyperbolicError(ValueError):
@@ -50,13 +54,14 @@ class FrickePoint:
     w = z - x y, and E, the least common denominator of x, y, z and w.
     They are computed once, here."""
 
-    __slots__ = ("kind", "coords", "field", "_trace_data")
+    __slots__ = ("kind", "coords", "field", "_trace_data", "_isolation")
 
     def __init__(self, kind: str, coords: tuple, field: Optional[NumberField] = None):
         self.kind = kind  # "rational" | "field" | "interval"
         self.coords = coords
         self.field = field
         self._trace_data = None if kind == "interval" else _trace_data(coords, field)
+        self._isolation = None  # set by solve_pattern_system
 
     @classmethod
     def from_rationals(cls, x, y, z) -> "FrickePoint":
@@ -188,47 +193,35 @@ def evaluate_at_point(tp: TracePoly, pt: FrickePoint) -> EvalResult:
 def _evaluate_box(tp: TracePoly, box: tuple[RatInterval, RatInterval, RatInterval]) -> RatInterval:
     """The endpoints of tp.evaluate(*box) over RatIntervals, on integers.
 
-    Power tables are built by TracePoly.evaluate's repeated product, and
-    power i of a coordinate with denominator d is scaled by d^(top - i),
-    so every term sits over D = dx^mi * dy^mj * dz^mk.  Interval products
-    are exact ranges, hence associative, so the endpoints are the same.
-
     When every lower endpoint is >= 0 (every box inside Teichmuller
     space, where x, y, z > 2), each monomial m is nondecreasing in each
     coordinate, so its interval product is [m(lo), m(hi)]: the monomial at
-    the box's two corners.  The enclosure is then the sum of c m(lo) over
-    c > 0 and c m(hi) over c < 0, and its mirror, from plain products:
-    the same integers with no min/max.  Other boxes take the product
-    route term by term.
+    the box's two corners.  A coordinate with endpoint numerators lo, hi
+    over d is tabled as lo^i d^(top - i) and hi^i d^(top - i), so every
+    term sits over D = dx^mi * dy^mj * dz^mk, and the enclosure is the sum
+    of c m(lo) over c > 0 and c m(hi) over c < 0, and its mirror: plain
+    integer products with no min/max.  Interval products are exact ranges,
+    hence associative, so these are TracePoly.evaluate's endpoints.  Boxes
+    with a negative lower endpoint, which no caller builds, take
+    TracePoly.evaluate itself; coerce, since a constant evaluates to an int.
     """
+    if any(iv.lo < 0 for iv in box):
+        return RatInterval.coerce(tp.evaluate(*box))
     tables, den = [], 1
     for iv, top in zip(box, tp.max_exponents()):
         lo, hi, d = _numerators(iv)
-        powers = [(1, 1)]
-        for _ in range(top):
-            powers.append(_mul(*powers[-1], lo, hi))
-        tables.append([(p_lo * d ** (top - i), p_hi * d ** (top - i)) for i, (p_lo, p_hi) in enumerate(powers)])
+        tables.append(tuple([e ** i * d ** (top - i) for i in range(top + 1)] for e in (lo, hi)))
         den *= d ** top
-    xs, ys, zs = tables
-    if all(iv.lo >= 0 for iv in box):
-        (xl, xh), (yl, yh), (zl, zh) = zip(*xs), zip(*ys), zip(*zs)
-        pos_lo = pos_hi = neg_lo = neg_hi = 0
-        for (i, j, k), c in tp.terms.items():
-            if c > 0:
-                pos_lo += c * (xl[i] * yl[j] * zl[k])
-                pos_hi += c * (xh[i] * yh[j] * zh[k])
-            else:
-                neg_lo += c * (xl[i] * yl[j] * zl[k])
-                neg_hi += c * (xh[i] * yh[j] * zh[k])
-        return RatInterval(Fraction(pos_lo + neg_hi, den), Fraction(pos_hi + neg_lo, den))
-    total_lo = total_hi = 0
+    (xl, xh), (yl, yh), (zl, zh) = tables
+    pos_lo = pos_hi = neg_lo = neg_hi = 0
     for (i, j, k), c in tp.terms.items():
-        lo, hi = _mul(*_mul(*xs[i], *ys[j]), *zs[k])
-        if c < 0:
-            lo, hi = hi, lo
-        total_lo += c * lo
-        total_hi += c * hi
-    return RatInterval(Fraction(total_lo, den), Fraction(total_hi, den))
+        if c > 0:
+            pos_lo += c * (xl[i] * yl[j] * zl[k])
+            pos_hi += c * (xh[i] * yh[j] * zh[k])
+        else:
+            neg_lo += c * (xl[i] * yl[j] * zl[k])
+            neg_hi += c * (xh[i] * yh[j] * zh[k])
+    return RatInterval(Fraction(pos_lo + neg_hi, den), Fraction(pos_hi + neg_lo, den))
 
 
 def markov_residual(pt: FrickePoint) -> EvalResult:
@@ -301,17 +294,15 @@ def eliminate_by_substitution() -> UniPoly:
 def eliminate_by_resultants() -> UniPoly:
     """Same quintic via iterated resultants in the trace ring.
 
-    Eliminates y between the Markov polynomial and y - x, then z between
-    the two results; the primitive part agrees with the substitution path
-    up to sign.
+    The constraints c1 = X - Y and c2 = X^2 - 2 - (XZ - Y) are the
+    differences tr u - tr v of trace_polynomial over PATTERN_PAIRS, so
+    this route also checks the trace ring.  Eliminates Y between the
+    Markov polynomial and c1 and between c2 and c1, then Z between the
+    two results; the primitive part agrees with the substitution path up
+    to sign.
     """
-    X = TracePoly.variable("X")
-    Y = TracePoly.variable("Y")
-    Z = TracePoly.variable("Z")
-    markov = MARKOV
-    c1 = X - Y
-    c2 = X ** 2 - TracePoly.constant(2) - (Z * X - Y)
-    m1 = _tp_resultant(markov, c1, var=1)  # eliminate Y
+    c1, c2 = (trace_polynomial(u) - trace_polynomial(v) for u, v in PATTERN_PAIRS)
+    m1 = _tp_resultant(MARKOV, c1, var=1)  # eliminate Y
     m2 = _tp_resultant(c2, c1, var=1)
     final = _tp_resultant(m1, m2, var=2)  # eliminate Z
     return _tp_to_unipoly(final, var=0).primitive_part()
@@ -385,28 +376,31 @@ def solve_pattern_system(precision_bits: int = 128) -> FrickePoint:
     """The unique Fricke point with tr(a) = tr(b) and tr(a^2) = tr(a^2 b).
 
     Certifies along the way: the eliminated quintic has exactly one real
-    root, that root exceeds 2, and the derived y and z coordinates also
-    exceed 2 with Markov residual exactly zero.  Any certification failure
-    aborts loudly; it would contradict the construction.
+    root and is irreducible, and the point x = y = that root,
+    z = (x^2 + x - 2)/x, is a member by in_teichmuller (x, y, z > 2 and
+    Markov residual exactly zero).  Any certification failure aborts
+    loudly; it would contradict the construction.
+
+    The point carries its certificates: pt.field.defining is the quintic,
+    pt.field.irreducibility its witness, and pt._isolation the pair
+    (root, count) of its one isolation: the make_algebraic root before
+    refinement to 2^-precision_bits (width < 1/4) and the number of real
+    roots isolate_real_roots found.  Only this function sets _isolation.
     """
     quintic = eliminate_pattern_system()
     intervals = isolate_real_roots(quintic)
     if len(intervals) != 1:
         raise AssertionError("pattern quintic must have exactly one real root")
-    root = make_algebraic(quintic, intervals[0]).refined(Fraction(1, 2 ** precision_bits))
+    isolated = make_algebraic(quintic, intervals[0])
     irr = irreducible_over_Q(quintic, 200)
     if not irr.is_irreducible():
         raise AssertionError("pattern quintic must be irreducible")
-    field = NumberField(quintic, root, irr)
+    field = NumberField(quintic, isolated.refined(Fraction(1, 2 ** precision_bits)), irr)
     x = field.gen()
-    y = x
-    z = (x * x + x - 2) / x
-    for name, coord in (("x", x), ("y", y), ("z", z)):
-        if coord.cmp_rational(2) != 1:
-            raise AssertionError(f"coordinate {name} of the solved point must exceed 2")
-    pt = FrickePoint.from_field_elements(field, x, y, z)
-    if not markov_residual(pt).is_certified_zero():
-        raise AssertionError("solved point must satisfy the Markov relation exactly")
+    pt = FrickePoint.from_field_elements(field, x, x, (x * x + x - 2) / x)
+    if not in_teichmuller(pt).member:
+        raise AssertionError("solved point must lie in Teichmuller space")
+    pt._isolation = (isolated, len(intervals))
     return pt
 
 

@@ -240,6 +240,15 @@ def test_verify_paper_isolates_failed_artifacts(capsys, monkeypatch):
             (s for s in STAGES if s != "trace-identity"), "certification error: elimination routes disagree"
         ),
     )
+    # every stage but trace-identity reads the solved point, so a failure
+    # inside solve_pattern_system fails them all
+    inconclusive = lambda p, bound: frickelab.poly.IrreducibilityVerdict("inconclusive")
+    assert _verify_paper_patched(capsys, monkeypatch, fricke, "irreducible_over_Q", inconclusive) == (
+        1,
+        dict.fromkeys(
+            (s for s in STAGES if s != "trace-identity"), "certification error: pattern quintic must be irreducible"
+        ),
+    )
 
 
 def test_identity_stage_catches_a_broken_packed_letter_rule(capsys, monkeypatch):
@@ -263,6 +272,9 @@ def test_verify_paper_derives_each_artifact_once(capsys, monkeypatch):
         "irreducible_over_Q": frickelab.poly.irreducible_over_Q,
         "eliminate_pattern_system": fricke.eliminate_pattern_system,
         "factor_mod_p": frickelab.poly.factor_mod_p,
+        "isolate_real_roots": frickelab.poly.isolate_real_roots,
+        "sturm_chain": frickelab.poly.sturm_chain,
+        "sturm_count": frickelab.poly.sturm_count,
     }
     calls = dict.fromkeys(targets, 0)
 
@@ -283,8 +295,13 @@ def test_verify_paper_derives_each_artifact_once(capsys, monkeypatch):
     assert code == 0
     assert calls["galois_cycle_types"] == 1
     assert calls["irreducible_over_Q"] == 1
-    assert calls["eliminate_pattern_system"] <= 2
+    assert calls["eliminate_pattern_system"] == 1
     assert calls["factor_mod_p"] <= 96
+    # the quintic's roots are isolated once, by solve_pattern_system; the
+    # uniqueness and refinement stages read the solved point's isolation
+    assert calls["isolate_real_roots"] == 1
+    assert calls["sturm_chain"] <= 2
+    assert calls["sturm_count"] <= 1
 
 
 def test_verify_paper_starved_prime_bound(capsys):

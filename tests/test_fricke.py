@@ -4,9 +4,11 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from frickelab import tracering
 from frickelab.algebraic import make_algebraic
 from frickelab.fricke import (
     MARKOV,
+    PATTERN_PAIRS,
     FrickePoint,
     NonHyperbolicError,
     eliminate_by_resultants,
@@ -21,6 +23,7 @@ from frickelab.fricke import (
 )
 from frickelab.intervals import PrecisionError, RatInterval
 from frickelab.poly import UniPoly
+from frickelab.tracering import TracePoly, trace_polynomial
 from frickelab.words import parse_word
 
 from oracles import word_matrix
@@ -102,6 +105,38 @@ def test_elimination():
     assert q.degree() == 5
     assert q == q.primitive_part()
     assert q.evaluate(2) < 0 < q.evaluate(3)
+
+
+def test_pattern_constraints_are_the_hand_derived_ones():
+    X, Y, Z = (TracePoly.variable(v) for v in "XYZ")
+    assert [(str(u), str(v)) for u, v in PATTERN_PAIRS] == [("a", "b"), ("aa", "aab")]
+    c1, c2 = (trace_polynomial(u) - trace_polynomial(v) for u, v in PATTERN_PAIRS)
+    assert c1 == X - Y
+    assert c2 == X ** 2 - TracePoly.constant(2) - (Z * X - Y)
+
+
+def test_elimination_cross_check_covers_the_trace_ring(monkeypatch):
+    # X*c1 read as Y*c1 in the a-rule for c1 changes tr(aa) to XY - 2:
+    # the resultant route, built from trace_polynomial, must disagree
+    rules = list(tracering._LETTER_RULES[("a", 1)])
+    assert rules[1] == "c0 + X*c1 + Y*c2 + Z*c3"
+    rules[1] = "c0 + Y*c1 + Y*c2 + Z*c3"
+    monkeypatch.setitem(tracering._PACKED_RULES, ("a", 1), tuple(map(tracering._packed_rule, rules)))
+    with pytest.raises(AssertionError, match="elimination routes disagree"):
+        eliminate_pattern_system()
+
+
+def test_solved_point_carries_its_isolation():
+    pt = solve_pattern_system(128)
+    assert pt.field.defining == QUINTIC
+    assert pt.field.irreducibility.is_irreducible()
+    isolated, count = pt._isolation
+    assert count == 1
+    assert isolated.poly == QUINTIC
+    assert isolated.hi - isolated.lo < Fraction(1, 4)
+    root = pt.field.root
+    assert isolated.lo <= root.lo < root.hi <= isolated.hi
+    assert FrickePoint.from_rationals(3, 3, 3)._isolation is None
 
 
 def test_solved_point_coordinates():

@@ -79,8 +79,11 @@ def test_box_endpoints_equal_fraction_route(tp, box):
     assert endpoints(_evaluate_box(tp, box)) == endpoints(fraction_route(tp, box))
 
 
-@pytest.mark.parametrize("tp", [TracePoly(), TracePoly.constant(-7), TracePoly.constant(5)])
+@pytest.mark.parametrize(
+    "tp", [TracePoly(), TracePoly.constant(-7), TracePoly.constant(5), trace_polynomial(parse_word("1"))]
+)
 def test_zero_and_constant_polynomials(tp):
+    # on a box with a negative endpoint a constant evaluates to an int on the reference route
     box = (RatInterval(Fraction(-3, 7), Fraction(5, 6)), RatInterval(-2, -1), RatInterval.point(Fraction(1, 3)))
     c = tp.terms.get((0, 0, 0), 0)
     assert endpoints(_evaluate_box(tp, box)) == (c, c)
