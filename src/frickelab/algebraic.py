@@ -453,7 +453,8 @@ def is_salem(p: UniPoly) -> SalemVerdict:
     h = salem_inverse_transform(p)
     evidence["h_polynomial"] = format_poly(h)
     # h(2) = p(1) and h(-2) = p(-1) are nonzero, so +-2 are safe endpoints
-    window, above = _sturm_counts(sturm_chain(h), Fraction(-2), Fraction(2), POS_INF)
+    chain = sturm_chain(h)
+    window, above = _sturm_counts(chain, Fraction(-2), Fraction(2), POS_INF)
     evidence.update(h_roots_above_2=above, h_roots_in_window=window, h_degree=m)
     if above == 0 and window == m:
         return SalemVerdict("NotSalem", "all roots lie on the unit circle, none outside", evidence)
@@ -462,9 +463,12 @@ def is_salem(p: UniPoly) -> SalemVerdict:
             "NotSalem", f"{above} compressed roots exceed 2, need exactly 1", evidence
         )
     if window != m - 1:
-        return SalemVerdict(
-            "NotSalem", f"(-2, 2) count {window} != {m - 1}: a conjugate pair is off the circle", evidence
-        )
+        # a chain ending in gcd(h, h') of positive degree: the counts miss repeats
+        if chain[-1].degree() > 0:
+            why = f"h has a repeated root, a root of {format_poly(chain[-1].primitive_part())}"
+        else:
+            why = "a conjugate pair is off the circle"
+        return SalemVerdict("NotSalem", f"(-2, 2) count {window} != {m - 1}: {why}", evidence)
     return SalemVerdict(
         "Salem", "one real pair (y, 1/y) with y > 1, all other conjugates on the unit circle", evidence
     )
@@ -537,6 +541,13 @@ def galois_cycle_types(p: UniPoly, prime_bound: int = 500) -> GaloisCertificate:
     return GaloisCertificate(irr, samples, f"ContainsNCycle({n})", "n-cycle pattern observed")
 
 
+def _irreducibility_line(irr: IrreducibilityVerdict) -> str:
+    """`irreducibility: witness prime p`, or the status when there is no witness."""
+    if irr.is_irreducible():
+        return f"irreducibility: witness prime {irr.witness}"
+    return f"irreducibility: {irr.status}"
+
+
 # -- non-arithmeticity report ----------------------------------------------------
 
 
@@ -570,10 +581,7 @@ def non_arithmeticity_report(p: UniPoly, prime_bound: int = 500) -> NonArithmeti
         return NonArithmeticityReport(tuple(lines), "Silent")
 
     cert = galois_cycle_types(p, prime_bound)
-    if cert.irreducibility.is_irreducible():
-        lines.append(f"irreducibility: witness prime {cert.irreducibility.witness}")
-    else:
-        lines.append(f"irreducibility: {cert.irreducibility.status}")
+    lines.append(_irreducibility_line(cert.irreducibility))
     lines.append(f"galois: {cert.conclusion}")
     # the samples factor the square-free part: each pattern sums to its degree
     n = sum(cert.samples[0][1]) if cert.samples else deg

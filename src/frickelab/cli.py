@@ -145,10 +145,7 @@ def _poly_from_args(tokens: list[str]) -> UniPoly:
 def cmd_galois(args, cfg: RunConfig) -> int:
     p = _poly_from_args(args.poly)
     cert = algebraic.galois_cycle_types(p, cfg.prime_bound)
-    if cert.irreducibility.is_irreducible():
-        print(f"irreducibility: witness prime {cert.irreducibility.witness}")
-    else:
-        print(f"irreducibility: {cert.irreducibility.status}")
+    print(algebraic._irreducibility_line(cert.irreducibility))
     shown = 0
     for prime, pattern in cert.samples:
         # one part: an n-cycle of the square-free part that was sampled

@@ -136,19 +136,12 @@ def _coord_interval(c: Coordinate, eps) -> RatInterval:
 
 
 def _coord_cmp_rational(c: Coordinate, q) -> int:
-    """Exact or certified comparison; raises PrecisionError when undecidable."""
-    q = Fraction(q)
-    if isinstance(c, Fraction):
-        return (c > q) - (c < q)
-    if isinstance(c, FieldElement):
-        return c.cmp_rational(q)
-    if c.lo > q:
-        return 1
-    if c.hi < q:
-        return -1
-    if c.lo == q == c.hi:
-        return 0
-    raise PrecisionError(f"comparison of [{c.lo}, {c.hi}] with {q} is undecidable")
+    """The sign of c - q: exact, or certified for an interval, which raises
+    PrecisionError when it straddles q."""
+    d = c - Fraction(q)
+    if isinstance(d, Fraction):
+        return (d > 0) - (d < 0)
+    return d.sign()
 
 
 # -- evaluation at a point -----------------------------------------------------

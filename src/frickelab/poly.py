@@ -1,10 +1,10 @@
 """Exact univariate polynomial algebra over the integers.
 
 Everything here is certificate-grade: unbounded integer (or rational)
-arithmetic throughout, no floating point.  Provides a primitive-PRS gcd,
-resultants, Sturm chains, real root isolation by bisection, refinement to
-bisection's own cell by regula falsi on its grid, factor-degree patterns
-mod p, and witness-based irreducibility.
+arithmetic throughout, no floating point.  Provides gcds and Sturm chains
+from one signed remainder sequence, resultants, real root isolation by
+bisection, refinement to bisection's own cell by regula falsi on its grid,
+factor-degree patterns mod p, and witness-based irreducibility.
 
 Sturm counts need no square-free part (_sturm_counts).  Square-free
 parts serve where that polynomial itself is needed: refinement by sign
@@ -270,7 +270,7 @@ def exact_div(p: UniPoly, q: UniPoly) -> UniPoly:
 
 
 def gcd(p: UniPoly, q: UniPoly) -> UniPoly:
-    """Primitive gcd with positive leading coefficient (primitive PRS)."""
+    """Primitive gcd with positive leading coefficient (_remainder_sequence)."""
     if p.is_zero() and q.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
     if p.is_zero():
@@ -280,18 +280,13 @@ def gcd(p: UniPoly, q: UniPoly) -> UniPoly:
     a, b = p.primitive_part(), q.primitive_part()
     if a.degree() < b.degree():
         a, b = b, a
-    while not b.is_zero():
-        r = _prem(a, b).primitive_part()
-        a, b = b, r
-    return a.primitive_part()
+    return _remainder_sequence(a, b)[-1].primitive_part()
 
 
 def square_free_part(p: UniPoly) -> UniPoly:
     """Primitive square-free part (same distinct roots, positive lc)."""
     if p.is_zero():
         raise ValueError("square-free part of zero polynomial")
-    if p.degree() == 0:
-        return constant(1)
     g = gcd(p, p.derivative())
     return exact_div(p.primitive_part(), g).primitive_part()
 
@@ -369,32 +364,34 @@ POS_INF = object()
 
 
 def sturm_chain(p: UniPoly) -> list[UniPoly]:
-    """Sturm chain of p: p, p', then negated remainders down to a constant.
-
-    Integer pseudo-remainders with the scaling forced positive, so sign
-    variations match the classical rational chain.
-    """
+    """Sturm chain of p: p, p', then negated remainders down to a constant
+    or to gcd(p, p'), up to sign and content (_remainder_sequence)."""
     if p.is_zero():
         raise ValueError("Sturm chain of zero polynomial")
-    chain = [p]
     d = p.derivative()
     if d.is_zero():
-        return chain
-    chain.append(d)
-    while True:
-        f, g = chain[-2], chain[-1]
-        if g.degree() < 1:
-            break
+        return [p]
+    return _remainder_sequence(p, d)
+
+
+def _remainder_sequence(f: UniPoly, g: UniPoly) -> list[UniPoly]:
+    """f, g (nonzero, deg f >= deg g), then the negated remainders of the
+    last two down to a constant or to gcd(f, g), up to sign and content:
+    integer pseudo-remainders divided once by their content, with the
+    signs of the classical rational chain."""
+    seq = [f, g]
+    while g.degree() >= 1:
         r = _prem(f, g)
         if r.is_zero():
             break
-        # true remainder is r / lc(g)^(df-dg+1); keep the sign of -rem
-        if g.lc() < 0 and (f.degree() - g.degree() + 1) % 2 == 1:
-            s = r
-        else:
-            s = -r
-        chain.append(s.primitive_part() if s.lc() > 0 else -((-s).primitive_part()))
-    return chain
+        # the rational remainder is r / lc(g)^(df-dg+1), so its negation
+        # has the sign of r exactly when lc(g)^(df-dg+1) < 0
+        content = r.content()
+        if g.lc() > 0 or (f.degree() - g.degree()) % 2:
+            content = -content
+        f, g = g, UniPoly(c // content for c in r.coeffs)
+        seq.append(g)
+    return seq
 
 
 def _sign_at_point(p: UniPoly, t) -> int:
@@ -465,10 +462,11 @@ def isolate_real_roots(p: UniPoly) -> list[tuple[Fraction, Fraction]]:
     """
     if p.is_zero():
         raise ValueError("cannot isolate roots of the zero polynomial")
-    sf = square_free_part(p)
+    # p's own chain counts its distinct roots and ends in gcd(p, p')
+    chain = sturm_chain(p)
+    sf = exact_div(p, chain[-1].primitive_part()).primitive_part()
     if sf.degree() <= 0:
         return []
-    chain = sturm_chain(sf)
     bound = root_bound(sf)
     out: list[tuple[Fraction, Fraction]] = []
     todo = [(-bound, bound, _sturm_counts(chain, -bound, bound)[0])]

@@ -53,7 +53,7 @@ such shift plus one keyed subtraction.  A coefficient is a (dict, sign)
 pair, and each new one is built in one dict: a copy of its first source,
 moved, with the others added in place.  A new coefficient that is an old
 one unmoved, such as c3 = -c2 for a, is that dict relabelled with a sign
-flip, not copied.  Each value is decoded as balanced s-bit digits.
+flip, not copied.
 
 The Kronecker box is sized by the word's letter counts, not by its
 terms: (ab)^500 would need about 52 Gbit (6.6 GB) for a trace of 251
@@ -61,8 +61,8 @@ terms, which the dicts hold under one key.  So the Kronecker layout runs
 when its box is at most _KRONECKER_BITS = 2^16 bits, which every word of
 up to 31 letters meets, and the dicts run otherwise.
 
-Both decodings are exact when 2^(s-1) exceeds every coefficient of
-tr(w), so s comes from the bound ||tr w||_1 <= 2 * 5^n_a * 2^n_b.
+Both layouts decode by one reader (_raised_digits), exact when 2^(s-1)
+exceeds every coefficient of tr(w); s comes from ||tr w||_1 <= 2 * 5^n_a * 2^n_b.
 Proof: let N be the sum of the l1 norms of c0, c1, c2, c3, and note
 ||X|| = ||Y|| = ||Z|| = 1 and ||Z - XY|| = 2.  In the update for a, the
 old c0, c1, c2, c3 enter the new ones with total weights 1, 2, 5, 3, so
@@ -456,8 +456,7 @@ def _kronecker_trace(letters, n_a: int, n_b: int, s: int) -> TracePoly:
     # every digit makes them all nonnegative, so each is read on its own
     top = min(n_a, n_b)
     width, half = s // 8, 1 << (s - 1)
-    slots = u * v * (top + 1)
-    raw = (t + int.from_bytes(half.to_bytes(width, "little") * slots, "little")).to_bytes(slots * width, "little")
+    raw = _raised_digits(t, s, u * v * (top + 1))
     terms: dict[Monomial, int] = {}
     read = int.from_bytes
     for k in range(top + 1):
@@ -537,21 +536,24 @@ def _combine(rule, cs, s: int) -> tuple[dict[int, int], int]:
 def _decode(packed: dict[int, int], s: int) -> TracePoly:
     """Read the balanced s-bit digits of each value as the coefficients of
     Z^0, Z^1, ...; exact while every coefficient is below 2^(s-1)."""
-    width, half, base = s // 8, 1 << (s - 1), 1 << s
+    width, half = s // 8, 1 << (s - 1)
     terms: dict[Monomial, int] = {}
+    read = int.from_bytes
     for key, v in packed.items():
         j, i = divmod(key, _KEY_Y)
-        digits = v.bit_length() // s + 1
-        raw = v.to_bytes(digits * width, "little", signed=True)
-        carry = 0
-        for k in range(digits):
-            d = int.from_bytes(raw[k * width:(k + 1) * width], "little") + carry
-            carry = d >= half
-            if carry:
-                d -= base
+        raw = _raised_digits(v, s, v.bit_length() // s + 1)
+        for k, o in enumerate(range(0, len(raw), width)):
+            d = read(raw[o:o + width], "little") - half
             if d:
-                terms[(i, j, k)] = d
+                terms[i, j, k] = d
     return TracePoly._trusted(terms)
+
+
+def _raised_digits(v: int, s: int, slots: int) -> bytes:
+    """v + 2^(s-1) (1 + 2^s + ... + 2^(s(slots-1))) as slots s/8-byte fields:
+    each balanced digit d of v, |d| < 2^(s-1), is then a field holding d + 2^(s-1)."""
+    half = (1 << (s - 1)).to_bytes(s // 8, "little")
+    return (v + int.from_bytes(half * slots, "little")).to_bytes(len(half) * slots, "little")
 
 
 # -- the exact pass at a point ---------------------------------------------------

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library's own code paths: plain
 2x2 matrices (float or exact Fraction) for traces, trial-division
 factorization over prime fields, Fraction Gaussian elimination for
-determinants, a textbook Fraction Sturm chain for root counts, and
-schoolbook products with long division for number-field arithmetic.
+determinants, a textbook Fraction Sturm chain for root counts, Fraction
+Euclid for gcds, and schoolbook products with long division for
+number-field arithmetic.
 """
 
 import math
@@ -133,6 +134,30 @@ def fraction_det(mat):
     return out
 
 
+def fraction_rem(f, g):
+    """Remainder of f by g over Q, both ascending Fraction lists with
+    nonzero top coefficients; the remainder has no trailing zeros."""
+    f = f[:]
+    while len(f) >= len(g) and any(f):
+        c = f[-1] / g[-1]
+        k = len(f) - len(g)
+        for i in range(len(g)):
+            f[i + k] -= c * g[i]
+        f.pop()
+        while f and f[-1] == 0:
+            f.pop()
+    return f
+
+
+def fraction_gcd(p, q):
+    """Monic gcd over Q of two polynomials, not both zero, as ascending
+    Fractions: Euclid's algorithm with Fraction remainders."""
+    a, b = ([Fraction(c) for c in f.coeffs] for f in (p, q))
+    while b:
+        a, b = b, fraction_rem(a, b)
+    return [c / a[-1] for c in a]
+
+
 def rational_sturm_count(p, lo, hi):
     """Distinct real roots of p in (lo, hi) by textbook Sturm counting over
     Fractions; p need not be square-free, lo and hi must not be roots."""
@@ -141,21 +166,9 @@ def rational_sturm_count(p, lo, hi):
     def deriv(f):
         return [i * c for i, c in enumerate(f)][1:]
 
-    def rem(f, g):
-        f = f[:]
-        while len(f) >= len(g) and any(f):
-            c = f[-1] / g[-1]
-            k = len(f) - len(g)
-            for i in range(len(g)):
-                f[i + k] -= c * g[i]
-            f.pop()
-            while f and f[-1] == 0:
-                f.pop()
-        return f
-
     chain = [coeffs, deriv(coeffs)]
     while chain[-1] and len(chain[-1]) > 1:
-        r = [-c for c in rem(chain[-2], chain[-1])]
+        r = [-c for c in fraction_rem(chain[-2], chain[-1])]
         if not r:
             break
         chain.append(r)

@@ -18,7 +18,7 @@ from frickelab.algebraic import (
 from frickelab.cli import main
 from frickelab.poly import UniPoly, format_poly, irreducible_over_Q, isolate_real_roots, square_free_part
 
-from oracles import brute_force_factor_degrees, rational_sturm_count
+from oracles import brute_force_factor_degrees, fraction_gcd, rational_sturm_count
 
 QUINTIC = UniPoly([-4, 4, 3, -4, -2, 1])
 
@@ -145,6 +145,17 @@ def test_salem_counts_distinct_roots_of_a_non_square_free_h():
     assert ev["h_polynomial"] == format_poly(h)
     assert ev["h_roots_in_window"] == rational_sturm_count(h, Fraction(-2), Fraction(2)) == 1
     assert ev["h_roots_above_2"] == rational_sturm_count(h, Fraction(2), _outside_all_roots(h)) == 1
+    # the window is short of a root because t = 1 is a double root of h,
+    # not because a pair is off the circle: the reason names gcd(h, h')
+    assert fraction_gcd(h, h.derivative()) == [-1, 1]
+    assert verdict.reason == "(-2, 2) count 1 != 2: h has a repeated root, a root of poly: -1 1"
+    # h = (t - 3)(t^2 + 1) is square-free, and its pair +-i is off the circle
+    verdict = is_salem(UniPoly([1, -3, 4, -9, 4, -3, 1]))
+    h = UniPoly([-3, 1]) * UniPoly([1, 0, 1])
+    assert verdict.evidence["h_polynomial"] == format_poly(h)
+    assert fraction_gcd(h, h.derivative()) == [1]
+    assert verdict.evidence["h_roots_in_window"] == rational_sturm_count(h, Fraction(-2), Fraction(2)) == 0
+    assert verdict.reason == "(-2, 2) count 0 != 2: a conjugate pair is off the circle"
 
 
 # -- AlgebraicReal.cmp_rational without a Sturm chain ------------------------------------

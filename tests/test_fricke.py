@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from frickelab import tracering
 from frickelab.algebraic import make_algebraic
 from frickelab.fricke import (
     MARKOV,
+    _coord_cmp_rational,
     PATTERN_PAIRS,
     FrickePoint,
     NonHyperbolicError,
@@ -26,7 +28,7 @@ from frickelab.poly import UniPoly
 from frickelab.tracering import TracePoly, trace_polynomial
 from frickelab.words import parse_word
 
-from oracles import word_matrix
+from oracles import bisect_root, rational_sturm_count, word_matrix
 
 QUINTIC = UniPoly([-4, 4, 3, -4, -2, 1])
 
@@ -95,6 +97,54 @@ def test_in_teichmuller_interval_precision_error():
     pt = FrickePoint.from_intervals(wide, wide, RatInterval(Fraction(32, 10), Fraction(33, 10)))
     with pytest.raises(PrecisionError):
         in_teichmuller(pt, Fraction(1, 2 ** 96))
+
+
+def _sign_at_the_paper_root(coeffs, q):
+    """Exact sign of sum c_i theta^i - q for the quintic's real root theta:
+    oracle bisection brackets theta until the textbook Sturm count finds no
+    root of that polynomial in the bracket, and its sign at an endpoint is
+    the answer."""
+    r = [Fraction(c) for c in coeffs]
+    r[0] -= q
+    while r and r[-1] == 0:
+        r.pop()
+    if not r:
+        return 0
+    poly = UniPoly([c * math.lcm(*(c.denominator for c in r)) for c in r])
+    eps = Fraction(1, 2 ** 8)
+    while True:
+        lo, hi = bisect_root(QUINTIC.coeffs, 2, 3, eps)
+        if poly.evaluate(lo) and poly.evaluate(hi) and rational_sturm_count(poly, lo, hi) == 0:
+            v = poly.evaluate(lo)
+            return (v > 0) - (v < 0)
+        eps /= 2 ** 32
+
+
+def test_coordinate_comparison_is_the_exact_sign_of_the_difference():
+    rng = random.Random(61)
+    for _ in range(200):
+        c = Fraction(rng.randint(-40, 40), rng.randint(1, 6))
+        q = rng.choice([c, Fraction(rng.randint(-40, 40), rng.randint(1, 6))])
+        expected = (c > q) - (c < q)
+        assert _coord_cmp_rational(c, q) == expected
+        assert _coord_cmp_rational(RatInterval.point(c), q) == expected
+    x, _, z = solve_pattern_system(128).coords
+    field = x.field
+    for c in (x, z, x * z - 7, field.from_rational(Fraction(7, 3))):
+        near = c.interval(Fraction(1, 2 ** 200)).lo
+        for bits in (0, 8, 40, 150):
+            q = Fraction(round(near * 2 ** bits), 2 ** bits)
+            for q in (q, q - Fraction(1, 2 ** bits), q + Fraction(1, 2 ** bits)):
+                assert _coord_cmp_rational(c, q) == _sign_at_the_paper_root(c.coeffs, q), (c, q)
+    assert _coord_cmp_rational(field.from_rational(Fraction(7, 3)), Fraction(7, 3)) == 0
+
+
+def test_coordinate_comparison_refuses_a_straddling_interval():
+    for lo, hi, q in ((Fraction(29, 10), 3, Fraction(295, 100)), (2, 3, 2), (2, 3, 3), (-1, 1, 0)):
+        with pytest.raises(PrecisionError, match="is undecidable"):
+            _coord_cmp_rational(RatInterval(lo, hi), q)
+    assert _coord_cmp_rational(RatInterval(2, 3), 2 - Fraction(1, 10 ** 30)) == 1
+    assert _coord_cmp_rational(RatInterval(2, 3), 3 + Fraction(1, 10 ** 30)) == -1
 
 
 def test_elimination():

@@ -234,3 +234,25 @@ def test_degree_and_parity_facts_behind_the_kronecker_decoding():
         for i, j, k in reference(w).terms:
             assert i + k <= n_a and (n_a - i - k) % 2 == 0, w
             assert j + k <= n_b and (n_b - j - k) % 2 == 0, w
+
+
+@pytest.mark.parametrize("s", [8, 16, 24, 64])
+def test_one_digit_reader_round_trips_balanced_digits_in_both_layouts(s):
+    # seeded balanced s-bit digits, the extremes +-(2^(s-1) - 1) among them,
+    # every fourth value with a zero top digit
+    rng = random.Random(s)
+    half, width = 1 << (s - 1), s // 8
+    for trial in range(60):
+        n = rng.randint(1, 12)
+        digits = [rng.choice([half - 1, 1 - half, 0, rng.randint(1 - half, half - 1)]) for _ in range(n)]
+        if trial % 4 == 0:
+            digits[-1] = 0
+        v = sum(d << (s * k) for k, d in enumerate(digits))
+        # the Kronecker layout reads a box of known size slot by slot
+        raw = tracering._raised_digits(v, s, n)
+        assert len(raw) == n * width
+        assert [int.from_bytes(raw[k * width:(k + 1) * width], "little") - half for k in range(n)] == digits
+        # the Z-packed layout reads as many digits as the value's length needs
+        i, j = rng.randint(0, 9), rng.randint(0, 9)
+        decoded = tracering._decode({i * tracering._KEY_X + j * tracering._KEY_Y: v}, s)
+        assert decoded.terms == {(i, j, k): d for k, d in enumerate(digits) if d}
