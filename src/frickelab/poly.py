@@ -459,14 +459,27 @@ def isolate_real_roots(p: UniPoly) -> list[tuple[Fraction, Fraction]]:
     first, so any depth runs in constant stack.  One Sturm count per split
     gives the left count; split points come from _split, so no endpoint is
     ever a root.
+
+    The depth is bounded: two distinct roots of the square-free part sf,
+    of degree n, are more than sqrt(3) n^(-(n+2)/2) ||sf||_2^(1-n) apart
+    (Mahler 1964, with |disc sf| >= 1 and the Mahler measure at most
+    ||sf||_2), so an interval no wider than the smaller 2^-m below, taken
+    from bit lengths, holds at most one.  A count above 1 there is
+    inconsistent, and raises IsolationError naming it instead of
+    bisecting forever.
     """
     if p.is_zero():
         raise ValueError("cannot isolate roots of the zero polynomial")
     # p's own chain counts its distinct roots and ends in gcd(p, p')
     chain = sturm_chain(p)
     sf = exact_div(p, chain[-1].primitive_part()).primitive_part()
-    if sf.degree() <= 0:
+    n = sf.degree()
+    if n <= 0:
         return []
+    # n^((n+2)/2) ||sf||_2^(n-1) < 2^m, with ||sf||_2^2 < 2^norm_bits
+    norm_bits = sum(c * c for c in sf.coeffs).bit_length()
+    m = (n.bit_length() * (n + 2) + norm_bits * (n - 1) + 1) // 2
+    narrowest = Fraction(1, 1 << m)
     bound = root_bound(sf)
     out: list[tuple[Fraction, Fraction]] = []
     todo = [(-bound, bound, _sturm_counts(chain, -bound, bound)[0])]
@@ -475,6 +488,12 @@ def isolate_real_roots(p: UniPoly) -> list[tuple[Fraction, Fraction]]:
         if k == 1:
             out.append((lo, hi))
         elif k > 1:
+            if hi - lo <= narrowest:
+                raise IsolationError(
+                    f"inconsistent Sturm count {k} on ({lo}, {hi}): no interval of width at most 2^-{m}"
+                    f" holds two roots of {format_poly(sf)}",
+                    k,
+                )
             mid, _ = _split(sf, lo, hi)
             kl = _sturm_counts(chain, lo, mid)[0]
             todo += [(mid, hi, k - kl), (lo, mid, kl)]

@@ -70,6 +70,38 @@ N grows at most 5-fold; for A the weights are 2, 1, 4, 4, for b 1, 1, 2,
 2 and for B 2, 2, 1, 1.  N starts at 1, and 2 c0 + X c1 + Y c2 + Z c3 at
 most doubles it.
 
+variety.symbolic_residual asks only whether a residual
+R = sum c prod tr(w_i)^e_i (integer c) is zero, and answers with no
+decode (variety._packed_residual): the same letter pass (_packed_trace)
+gives each tr(w_i) under the plain box X -> 2^s, Y -> 2^(s(DX+1)),
+Z -> 2^(s(DX+1)(DY+1)), and R's image is the sum of products of those
+ints.  The parity compression of the layout above does not survive
+products and sums: it rests on every monomial of one trace having i + k
+of one parity, but R sums terms of either parity (X1 - X2 on a and aa is
+X - X^2 + 2), whose monomials would share the half-slots of X -> 2^h.
+The plain box needs no parity.  Proof that R = 0 iff its image is 0:
+- Slots.  A monomial of tr(w) has i <= n_a, j <= n_b and k <= min(n_a,
+  n_b) (the facts above), so R's degrees in X, Y, Z are at most DX, DY,
+  DZ, the maxima over F's monomials of sum e_i n_a(w_i), sum e_i n_b(w_i)
+  and sum e_i min(n_a(w_i), n_b(w_i)).  X^i Y^j Z^k maps to 2^(s t) with
+  t = i + (DX + 1)(j + (DY + 1) k), and i <= DX, j <= DY make t distinct
+  for distinct monomials of R: one slot each, in a box of
+  s (DX+1)(DY+1)(DZ+1) bits.
+- Digits.  ||R||_1 <= sum |c| prod ||tr w_i||_1^e_i <= sum |c| prod
+  L_i^e_i, for L_i = 2 * 5^n_a(w_i) * 2^n_b(w_i).  A term is below
+  2^(b(c) + sum e_i b(L_i)), b the bit length, since x < 2^b(x) and
+  L^e < 2^(e b(L)); M terms sum to below M times the largest, so below
+  2^(s-1) when s - 1 is the largest such exponent plus b(M).  Each
+  coefficient of R is then a balanced digit d, |d| < 2^(s-1).
+- Zero.  If some digit is nonzero, let d be the one at the top slot t;
+  the slots below it sum to at most (2^(s-1) - 1)(2^(st) - 1)/(2^s - 1)
+  < 2^(st) <= |d| 2^(st) in absolute value, so the image is not 0.
+Substitution is a ring homomorphism, so the image of R is F's cleared
+numerator evaluated on the images of the traces, and the pass computes
+those exactly, whatever its intermediate ints.  A box over _KRONECKER_BITS
+is not built: R is then expanded from trace_polynomial, as it is for
+every nonzero R, whose terms the caller needs.
+
 fricke.trace_of at rational and number-field points runs the same table
 once more, on integers (_trace_numerators).  With E the least common
 denominator of x, y, z and w = z - x y, the multipliers 1, X, Y, Z, W are
@@ -445,12 +477,8 @@ def _kronecker_trace(letters, n_a: int, n_b: int, s: int) -> TracePoly:
     monomial of a multiplier one shift (module docstring)."""
     u, v, h = n_a // 2 + 1, n_b // 2 + 1, s // 2
     x, y, z = h, h * u, h + h * u + s * u * v
-    shifts = tuple(i * x + j * y + k * z for i, j, k in _SHIFTED)
-    cs = [1, 0, 0, 0]
-    for letter in letters:
-        cs = [_shifted_sum(rule[0], cs, shifts) for rule in _PACKED_RULES[letter]]
     # every exponent of tr(w) is at least this one (module docstring)
-    t = _shifted_sum(_PACKED_TRACE[0], cs, shifts) >> x * (n_a % 2) + y * (n_b % 2)
+    t = _packed_trace(letters, (0, x, y, z, x + y)) >> x * (n_a % 2) + y * (n_b % 2)
     # the balanced digit c at slot u' + U v' + U V k is c X^i Y^j Z^k for
     # i + k = n_a % 2 + 2u' and j + k = n_b % 2 + 2v'; adding 2^(s-1) to
     # every digit makes them all nonnegative, so each is read on its own
@@ -469,6 +497,18 @@ def _kronecker_trace(letters, n_a: int, n_b: int, s: int) -> TracePoly:
                     terms[i, j, k] = d
                 o += width
     return TracePoly._trusted(terms)
+
+
+def _packed_trace(letters, shifts) -> int:
+    """The image of tr(w) under X -> 2^x, Y -> 2^y, Z -> 2^z, for the shift
+    table shifts = (0, x, y, z, x + y) of 1, X, Y, Z and XY: the letter
+    rules on one int per coefficient, with no decode.  _kronecker_trace
+    passes the parity-compressed layout, variety._packed_residual the
+    plain box."""
+    cs = [1, 0, 0, 0]
+    for letter in letters:
+        cs = [_shifted_sum(rule[0], cs, shifts) for rule in _PACKED_RULES[letter]]
+    return _shifted_sum(_PACKED_TRACE[0], cs, shifts)
 
 
 def _shifted_sum(sources, cs, shifts) -> int:

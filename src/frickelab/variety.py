@@ -20,7 +20,14 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .algebraic import SalemVerdict, is_geometric_salem
 from .fricke import EvalResult, FrickePoint, evaluate_at_point, trace_of
 from .poly import UniPoly, format_poly
-from .tracering import TracePoly, _format_signed_terms, _parse_signed_terms, trace_polynomial
+from .tracering import (
+    _KRONECKER_BITS,
+    TracePoly,
+    _format_signed_terms,
+    _packed_trace,
+    _parse_signed_terms,
+    trace_polynomial,
+)
 from .words import Word, concat
 
 Exponents = tuple[int, ...]
@@ -134,11 +141,19 @@ def symbolic_residual(F: VarietyPolynomial, words: Sequence[Word]) -> SymbolicRe
     """F composed with the trace polynomials of the words, in the trace ring.
 
     A zero residual certifies membership at every point of Teichmuller
-    space simultaneously.
+    space simultaneously.  Whether it is zero is first decided with no
+    trace polynomial at all: F's cleared numerator is evaluated on the
+    images of the traces under a plain Kronecker substitution
+    (_packed_residual), and the residual is zero exactly when that int is
+    (proof in the tracering module docstring).  Only a nonzero residual, or
+    one whose box exceeds _KRONECKER_BITS, is built term by term from the
+    decoded trace polynomials, which numeric_member evaluates at a point.
     """
     if len(words) != F.arity:
         raise ValueError(f"arity mismatch: polynomial takes {F.arity} words, got {len(words)}")
     int_terms, den = F.clear_denominators()
+    if _packed_residual(int_terms, words) == 0:
+        return SymbolicResidual(TracePoly(), 1, den)
     traces = [trace_polynomial(w) for w in words]
     total = TracePoly()
     for mono, c in sorted(int_terms.items()):
@@ -151,6 +166,35 @@ def symbolic_residual(F: VarietyPolynomial, words: Sequence[Word]) -> SymbolicRe
     if content > 1:
         total = TracePoly({m: c // content for m, c in total.terms.items()})
     return SymbolicResidual(total, max(content, 1), den)
+
+
+def _packed_residual(int_terms: Mapping[Exponents, int], words: Sequence[Word]) -> Optional[int]:
+    """The residual sum c * prod tr(w_i)^e_i over int_terms, as its image
+    under X -> 2^s, Y -> 2^(s(DX+1)), Z -> 2^(s(DX+1)(DY+1)), which is zero
+    exactly when the residual is; None when that box of s(DX+1)(DY+1)(DZ+1)
+    bits exceeds _KRONECKER_BITS.  DX, DY, DZ and s come from the words'
+    letter counts and bit lengths alone, so a huge exponent costs nothing
+    here (tracering module docstring)."""
+    counts = []
+    for w in words:
+        n_a = sum(1 for gen, _ in w.letters if gen == "a")
+        counts.append((n_a, len(w.letters) - n_a))
+    # bit lengths of the l1 bounds 2 * 5^n_a * 2^n_b
+    l1_bits = [(5 ** n_a).bit_length() + n_b + 1 for n_a, n_b in counts]
+    dx = dy = dz = term_bits = 0
+    for mono, c in int_terms.items():
+        dx = max(dx, sum(e * n_a for e, (n_a, _) in zip(mono, counts)))
+        dy = max(dy, sum(e * n_b for e, (_, n_b) in zip(mono, counts)))
+        dz = max(dz, sum(e * min(n) for e, n in zip(mono, counts)))
+        term_bits = max(term_bits, abs(c).bit_length() + sum(e * b for e, b in zip(mono, l1_bits)))
+    # each term's bound is below 2^term_bits, and their sum below len(int_terms) times that
+    s = term_bits + len(int_terms).bit_length() + 1
+    if s * (dx + 1) * (dy + 1) * (dz + 1) > _KRONECKER_BITS:
+        return None
+    x, y = s, s * (dx + 1)
+    z = y * (dy + 1)
+    images = [_packed_trace(w.letters, (0, x, y, z, x + y)) for w in words]
+    return sum(c * math.prod(t ** e for t, e in zip(images, mono) if e) for mono, c in int_terms.items())
 
 
 IN, OUT, UNDECIDED = "In", "Out", "Undecided"

@@ -291,3 +291,28 @@ def test_refine_root_returns_on_hard_inputs():
         assert rhi - rlo == cell
         assert ((rlo - lo) / cell).denominator == 1
         assert p.sign_at(rlo) * p.sign_at(rhi) == -1
+
+
+def test_an_inconsistent_sturm_count_raises_instead_of_bisecting_forever():
+    # a broken _sturm_counts that never counts fewer than two roots sends
+    # bisection down the left half forever; below the root-separation width
+    # a count of 2 is impossible, and isolation must say so.  Run in a child
+    # process so that a bisection which never ends fails the test.
+    code = (
+        "from frickelab import poly\n"
+        "counts = poly._sturm_counts\n"
+        "poly._sturm_counts = lambda chain, *points: [max(k, 2) for k in counts(chain, *points)]\n"
+        "for coeffs in ([-2, 0, 1], [-4, 4, 3, -4, -2, 1], [1, -10 ** 12, 0, 0, 0, 0, 0, 0, 1]):\n"
+        "    try:\n"
+        "        poly.isolate_real_roots(poly.UniPoly(coeffs))\n"
+        "    except poly.IsolationError as e:\n"
+        "        print(e.count, str(e).split(' on ')[0])\n"
+    )
+    src = os.path.dirname(os.path.dirname(frickelab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    try:
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=20)
+    except subprocess.TimeoutExpired:
+        pytest.fail("isolate_real_roots did not stop within 20 s on an inconsistent Sturm count")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["2 inconsistent Sturm count 2"] * 3
