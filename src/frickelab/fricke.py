@@ -24,7 +24,7 @@ from .poly import (
     irreducible_over_Q,
     isolate_real_roots,
 )
-from .tracering import TracePoly, _multiplier_table, _trace_numerators, trace_polynomial
+from .tracering import TracePoly, _growth_bits, _multiplier_table, _trace_numerators, trace_polynomial
 from .words import Word, parse_word
 
 Coordinate = Union[Fraction, FieldElement, RatInterval]
@@ -51,8 +51,9 @@ class FrickePoint:
     Exact points (rational and field kinds) also hold what trace_of needs
     at every word: the modulus g of their field's power basis, the table
     of the integer numerator vectors of E, E x, E y, E z and E w for
-    w = z - x y, and E, the least common denominator of x, y, z and w.
-    They are computed once, here."""
+    w = z - x y, E, the least common denominator of x, y, z and w, and the
+    bits per letter that size the ring of tracering's exact pass.  They
+    are computed once, here."""
 
     __slots__ = ("kind", "coords", "field", "_trace_data", "_isolation")
 
@@ -114,7 +115,7 @@ class FrickePoint:
 
 
 def _trace_data(coords: tuple, field: Optional[NumberField]) -> tuple:
-    """(g, multiplier table, E) of an exact point for
+    """(g, multiplier table, E, growth bits) of an exact point for
     tracering._trace_numerators: a rational is the degree-1 case, g = t."""
     x, y, z = coords
     if field:
@@ -124,7 +125,8 @@ def _trace_data(coords: tuple, field: Optional[NumberField]) -> tuple:
         parts = [((c.numerator,), c.denominator) for c in (1, x, y, z, z - x * y)]
         g = (0, 1)
     e = math.lcm(*(den for _, den in parts))
-    return g, _multiplier_table([[v * (e // den) for v in vs] for vs, den in parts]), e
+    table = _multiplier_table([[v * (e // den) for v in vs] for vs, den in parts])
+    return g, table, e, _growth_bits(table, g)
 
 
 def _coord_interval(c: Coordinate, eps) -> RatInterval:
@@ -410,10 +412,14 @@ def trace_of(pt: FrickePoint, w: Word) -> EvalResult:
     trace over E^(L+1).  Field elements are stored as numerators on the
     power basis of a root of the field's monic integer polynomial g (see
     NumberField), and a rational is the degree-1 case g = t, so both kinds
-    take the same pass and each new coefficient is reduced once modulo g,
-    with no gcd.  The value is put in lowest terms once, at the end: a
-    reduction and a gcd per product and per sum were most of the cost of
-    trace_in over FieldElements.
+    take the same pass, with each new coefficient reduced once and no gcd.
+    A short word runs in the integers modulo g(2^s), one int per
+    coefficient, with s bits per numerator from a bound on their growth
+    that the point's _trace_data holds; a word whose n s bits exceed
+    tracering._RING_BITS keeps n numerators per coefficient, reduced
+    modulo g.  Both give the same numerators.  The value is put in lowest
+    terms once, at the end: a reduction and a gcd per product and per sum
+    were most of the cost of trace_in over FieldElements.
 
     At interval points the expanded polynomial is evaluated over the
     coordinate box on integer numerators over one common denominator (see
@@ -423,8 +429,8 @@ def trace_of(pt: FrickePoint, w: Word) -> EvalResult:
     its enclosure has a fixed width."""
     if pt.kind == "interval":
         return evaluate_at_point(trace_polynomial(w), pt)
-    g, table, e = pt._trace_data
-    nums = _trace_numerators(w.letters, table, g)
+    g, table, e, growth = pt._trace_data
+    nums = _trace_numerators(w.letters, table, g, growth)
     den = e ** (len(w.letters) + 1)
     return EvalResult(pt.kind, pt.field._element(nums, den) if pt.field else Fraction(nums[0], den))
 

@@ -91,11 +91,12 @@ The plain box needs no parity.  Proof that R = 0 iff its image is 0:
   L_i^e_i, for L_i = 2 * 5^n_a(w_i) * 2^n_b(w_i).  A term is below
   2^(b(c) + sum e_i b(L_i)), b the bit length, since x < 2^b(x) and
   L^e < 2^(e b(L)); M terms sum to below M times the largest, so below
-  2^(s-1) when s - 1 is the largest such exponent plus b(M).  Each
-  coefficient of R is then a balanced digit d, |d| < 2^(s-1).
+  2^s when s is the largest such exponent plus b(M).  Each coefficient
+  of R is then a digit d with |d| < 2^s, that is |d| <= 2^s - 1.
 - Zero.  If some digit is nonzero, let d be the one at the top slot t;
-  the slots below it sum to at most (2^(s-1) - 1)(2^(st) - 1)/(2^s - 1)
-  < 2^(st) <= |d| 2^(st) in absolute value, so the image is not 0.
+  the slots below it sum to at most (2^s - 1)(2^(st) - 1)/(2^s - 1)
+  = 2^(st) - 1 < 2^(st) <= |d| 2^(st) in absolute value, so the image is
+  not 0.  (The zero test reads no digit, so none needs to be balanced.)
 Substitution is a ring homomorphism, so the image of R is F's cleared
 numerator evaluated on the images of the traces, and the pass computes
 those exactly, whatever its intermediate ints.  A box over _KRONECKER_BITS
@@ -105,16 +106,52 @@ every nonzero R, whose terms the caller needs.
 fricke.trace_of at rational and number-field points runs the same table
 once more, on integers (_trace_numerators).  With E the least common
 denominator of x, y, z and w = z - x y, the multipliers 1, X, Y, Z, W are
-the integer vectors of E, E x, E y, E z, E w, so after k letters each
-coefficient is n integer numerators over the implied E^k, for n the
-degree of the coordinates' field (1 at a rational point).  Each new
-coefficient is one unreduced sum of products in 2n - 1 slots, reduced to
-n slots once, modulo the monic integer g whose root t generates the
-field (poly._rem_monic, the reduction NumberField uses).  Reducing once per
-coefficient instead of once per product or sum, and putting the value in
-lowest terms once per word, is what the pass saves over trace_in on
-FieldElements or Fractions; nothing is packed, so the slot count stays n
-however long the word.
+the integer vectors of E, E x, E y, E z, E w on the power basis
+1, t, ..., t^(n-1) of the coordinates' field, t a root of its monic
+integer polynomial g of degree n (g = t and n = 1 at a rational point),
+so after k letters each coefficient is n integer numerators over the
+implied E^k, and tr(w) is n numerators d_0..d_(n-1) over E^(L+1) after
+L letters.  Short words run in one ring, long ones on vectors:
+- Ring (_ring_numerators).  t -> 2^s sends g to N = g(2^s), so it is a
+  ring homomorphism Z[t]/(g) -> Z/N.  Each coefficient is one int, each
+  multiplier with vector v the int sum v_k 2^(ks), and each new
+  coefficient its rule's signed sum of products, reduced mod N once; the
+  pass thus computes the image of sum d_k t^k, whatever its intermediate
+  ints, and reads the d_k back from its balanced residue as balanced
+  s-bit digits.
+- Bound.  Let M_m be the integer matrix of multiplication by E m on the
+  power basis (column j is E m t^j reduced mod g, by poly._rem_monic) and
+  mu_m its largest absolute row sum, so |M_m v|_inf <= mu_m |v|_inf.  A
+  new coefficient is the sum of +-M_m c_i over its rule's terms, so its
+  numerators are at most the rule's sum of mu_m times the largest old
+  one.  With G_a, G_b the largest such sums over the rules of a, A and
+  of b, B, and G_T the trace rule's, every |d_k| <= B = G_T G_a^n_a G_b^n_b.
+- Decode.  T = sum d_k 2^(ks) has |T| <= B (2^(ns) - 1)/(2^s - 1)
+  < 2B 2^((n-1)s), and N >= 2^(ns) - |g|_inf (2^(ns) - 1)/(2^s - 1)
+  >= 2^((n-1)s) (2^s - 2|g|_inf).  So when 4B + 2|g|_inf <= 2^s, N > 0,
+  |T| < N/2 and T is the balanced residue, in (-N/2, N/2], of the pass's
+  result; and |d_k| <= B < 2^(s-1) makes the d_k its balanced s-bit
+  digits.  _growth_bits gives s = s0 + n_a s_a + n_b s_b, with
+  s_a = b(G_a), s_b = b(G_b) and s0 = b(max(G_T, |g|_inf)) + 3, b the
+  bit length, once per point: B < 2^(s-3) and 2|g|_inf < 2^(s-2), so the
+  decode is exact, and no power of G is built.
+- Size rule.  The ring's products are n s bits by n s bits, so its cost
+  grows like L^3 with the word, while the vector pass multiplies by the
+  table's small entries and grows like L^2.  The ring runs when
+  n s <= _RING_BITS = 2^10, the vector pass otherwise.  At the paper point
+  (n = 5; s0, s_a, s_b = 9, 6, 4) that is every word of up to 32 letters
+  and no word of more than 48.  There, on seeded words (CPython 3.11, a
+  shared 2-vCPU x86-64 host), the ring took 0.27 of the vector pass's
+  time at 10 letters, 0.30 at 26, 0.45 at 40 (n s ~ 1050), 0.69 at 60
+  (~ 1530), 1.07 at 80 (~ 2050) and 5 at 200: the rule keeps the ring
+  where it is about twice as fast.
+- Vector (_vector_numerators).  Each new coefficient is one unreduced sum
+  of products in 2n - 1 slots, reduced to n slots once modulo g
+  (poly._rem_monic, the reduction NumberField uses); nothing is packed,
+  so the slot count stays n however long the word.
+Both reduce once per coefficient instead of once per product or sum, and
+the value is put in lowest terms once per word: that is what the pass
+saves over trace_in on FieldElements or Fractions.
 
 The signed-term text `2*X^2*Z - Y + 3` of trace and variety polynomials
 lives here too: _format_signed_terms prints it, _parse_signed_terms reads
@@ -408,6 +445,10 @@ def trace_polynomial(w: Word) -> TracePoly:
 # a sparse long word such as (ab)^500 would need gigabits.
 _KRONECKER_BITS = 1 << 16
 
+# The largest modulus g(2^s) of the exact pass in one ring, as n s bits:
+# past it the ring's full-width products cost more than the vector pass.
+_RING_BITS = 1 << 10
+
 # A packed key is i + j * 2^32 for X^i Y^j.  The degree in X is at most
 # n_a + 1, and no word that fits in memory has 2^32 a-letters.
 _KEY_X, _KEY_Y = 1, 1 << 32
@@ -613,7 +654,32 @@ def _multiplier_table(multipliers) -> dict:
     }
 
 
-def _trace_numerators(letters, table, g) -> list[int]:
+def _growth_bits(table, g) -> tuple[int, int, int]:
+    """(s0, s_a, s_b) of a point: s = s0 + n_a s_a + n_b s_b bits decode
+    tr(w) from the ring Z/g(2^s) (module docstring).  s_a and s_b are the
+    bit lengths of G_a and G_b, the largest sums of the multipliers' row
+    sums mu over the rules of a, A and of b, B; s0 is 3 more than that of
+    the larger of the trace rule's sum and the largest |g_k|."""
+    n = len(g) - 1
+    mu = {}
+    for name in "1XYZW":
+        # column j of multiplication by the multiplier: its vector times t^j, modulo g
+        columns = []
+        for j in range(n):
+            acc = [0] * (2 * n - 1)
+            for k, m in table[name, 1]:
+                acc[j + k] = m
+            columns.append(_rem_monic(acc, g))
+        mu[name] = max(sum(abs(column[r]) for column in columns) for r in range(n))
+
+    def growth(gen):
+        return max(sum(mu[m] for _, _, m in rule) for exp in (1, -1) for rule in _EXACT_RULES[gen, exp])
+
+    s0 = max(sum(mu[m] for _, _, m in _EXACT_TRACE), *map(abs, g)).bit_length() + 3
+    return s0, growth("a").bit_length(), growth("b").bit_length()
+
+
+def _trace_numerators(letters, table, g, growth) -> list[int]:
     """Integer numerators of tr(w) at a point, over E^(L+1) for L letters.
 
     table is _multiplier_table of E, E x, E y, E z and E w, for
@@ -622,13 +688,58 @@ def _trace_numerators(letters, table, g) -> list[int]:
     (ascending coefficients) of degree n and E is a common denominator of
     x, y, z and w.  A rational point has g = t.  The letter rules of
     trace_in, read from _LETTER_RULES, keep each c0..c3 as n numerators
-    over E^k after k letters.
+    over E^k after k letters: in the ring Z/g(2^s) (_ring_numerators) when
+    its n s bits, s from the point's _growth_bits, are at most _RING_BITS,
+    and as vectors otherwise.
     """
+    s0, s_a, s_b = growth
+    n_a = sum(1 for gen, _ in letters if gen == "a")
+    s = s0 + n_a * s_a + (len(letters) - n_a) * s_b
+    if (len(g) - 1) * s <= _RING_BITS:
+        return _ring_numerators(letters, table, g, s)
+    return _vector_numerators(letters, table, g)
+
+
+def _vector_numerators(letters, table, g) -> list[int]:
+    """The numerators of _trace_numerators with each coefficient kept as
+    its n numerators, each new one reduced modulo g once (_reduced_sum)."""
     # the zero coefficients start with no entries: their products add nothing
     cs = [[1] + [0] * (len(g) - 2), [], [], []]
     for letter in letters:
         cs = [_reduced_sum(rule, cs, table, g) for rule in _EXACT_RULES[letter]]
     return _reduced_sum(_EXACT_TRACE, cs, table, g)
+
+
+def _ring_numerators(letters, table, g, s: int) -> list[int]:
+    """The numerators of _trace_numerators by the letter rules in Z/N,
+    N = g(2^s), under t -> 2^s: each coefficient one int, each new one
+    reduced once, and tr(w) read back as n balanced s-bit digits.  Exact
+    for every s of at least s0 + n_a s_a + n_b s_b from the point's
+    _growth_bits (module docstring)."""
+    modulus = sum(c << k * s for k, c in enumerate(g))
+    image = {name: sum(m << k * s for k, m in table[name, 1]) for name in "1XYZW"}
+    cs = [1, 0, 0, 0]
+    for letter in letters:
+        new = []
+        for rule in _EXACT_RULES[letter]:
+            total = 0
+            for i, sign, m in rule:
+                if sign > 0:
+                    total += image[m] * cs[i]
+                else:
+                    total -= image[m] * cs[i]
+            new.append(total % modulus)
+        cs = new
+    t = sum(sign * image[m] * cs[i] for i, sign, m in _EXACT_TRACE) % modulus
+    if t > modulus >> 1:
+        t -= modulus
+    nums = []
+    half, mask = 1 << (s - 1), (1 << s) - 1
+    for _ in range(len(g) - 1):
+        d = ((t + half) & mask) - half
+        nums.append(d)
+        t = (t - d) >> s
+    return nums
 
 
 def _reduced_sum(rule, cs, table, g) -> list[int]:

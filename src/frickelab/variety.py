@@ -187,8 +187,9 @@ def _packed_residual(int_terms: Mapping[Exponents, int], words: Sequence[Word]) 
         dy = max(dy, sum(e * n_b for e, (_, n_b) in zip(mono, counts)))
         dz = max(dz, sum(e * min(n) for e, n in zip(mono, counts)))
         term_bits = max(term_bits, abs(c).bit_length() + sum(e * b for e, b in zip(mono, l1_bits)))
-    # each term's bound is below 2^term_bits, and their sum below len(int_terms) times that
-    s = term_bits + len(int_terms).bit_length() + 1
+    # each term's bound is below 2^term_bits, and their sum below len(int_terms) times
+    # that, so below 2^s; the empty polynomial still gets one-bit slots
+    s = max(term_bits + len(int_terms).bit_length(), 1)
     if s * (dx + 1) * (dy + 1) * (dz + 1) > _KRONECKER_BITS:
         return None
     x, y = s, s * (dx + 1)

@@ -112,6 +112,30 @@ def test_a_digit_at_the_coefficient_bound(c):
     assert symbolic_residual(cancelled, one) == reference(cancelled, one) == SymbolicResidual(ZERO, 1, 1)
 
 
+def test_a_constant_digit_at_its_l1_bound_just_below_the_top_bit():
+    # c0 + c1 X1 + ... + c5 X5 - X6 on the words 1, 1, 1, 1, 1, a: every
+    # term's bound sits at 2^20 (b(c0) = 20; b(c_i) + b(||tr 1||_1 = 2) = 20;
+    # b(1) + b(2 * 5) = 5), so s = 20 + b(7) = 23 and X -> 2^23.  tr 1 = 2
+    # meets its l1 bound, so the constant digit c0 + 2 (c1 + ... + c5) is
+    # exactly its l1 bound, 3670005: above 2^(s-2), below 2^(s-1).  The
+    # image is that digit minus 2^s.
+    c0, c = 2 ** 20 - 1, 2 ** 18 - 1
+    int_terms = {(0,) * 6: c0, (0, 0, 0, 0, 0, 1): -1}
+    for i in range(5):
+        int_terms[tuple(int(k == i) for k in range(6))] = c
+    words = (parse_word("1"),) * 5 + (parse_word("a"),)
+    digit = c0 + 2 * 5 * c
+    assert 2 ** 21 < digit < 2 ** 22
+    assert variety._packed_residual(int_terms, words) == digit - 2 ** 23
+    F = VarietyPolynomial(6, int_terms)
+    assert symbolic_residual(F, words) == reference(F, words) == SymbolicResidual(TracePoly.constant(digit) - X, 1, 1)
+    # the same digit cancelled by the term that meets it
+    int_terms[(0, 0, 0, 0, 0, 1)] = 0
+    int_terms[(0,) * 6] = c0 - digit
+    F = VarietyPolynomial(6, int_terms)
+    assert symbolic_residual(F, words) == reference(F, words) == SymbolicResidual(ZERO, 1, 1)
+
+
 @pytest.mark.parametrize(
     "text, words, residual",
     [
