@@ -11,9 +11,8 @@ certification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .intervals import RatInterval, _mul, _numerators
 from .poly import (
@@ -282,36 +281,41 @@ class FieldElement:
     def _enclosures(self):
         """Interval Horner of the numerators on phi's interval c [lo, hi],
         quartered between enclosures (refining below half the width takes
-        two bisections): the element's enclosures times its positive
-        denominator, which commutes with interval products."""
+        two bisections), as integer triples (lo, hi, d): the element's
+        enclosures times its positive denominator, which commutes with
+        interval products, are [lo/d, hi/d]."""
         root, c = self.field.root, self.field._scale
         while True:
-            yield _horner_interval(self._nums, RatInterval(c * root.lo, c * root.hi))
+            lo, hi, d = _numerators(root)
+            yield _horner(self._nums, c * lo, c * hi, d)
             root = root.refined((root.hi - root.lo) / 2)
 
     def interval(self, eps) -> RatInterval:
         """Enclosure of width < eps, refining the field generator as needed."""
-        eps = Fraction(eps) * self._den
-        if eps <= 0:
+        eps = Fraction(eps)
+        if eps.numerator <= 0:
             raise ValueError("eps must be positive")
-        iv = next(iv for iv in self._enclosures() if iv.width() < eps)
-        return RatInterval(iv.lo / self._den, iv.hi / self._den)
+        # (hi - lo) / d < eps * _den, in integers
+        p, q = eps.numerator * self._den, eps.denominator
+        lo, hi, d = next(e for e in self._enclosures() if (e[1] - e[0]) * q < p * e[2])
+        d *= self._den
+        return RatInterval(Fraction(lo, d), Fraction(hi, d))
 
     def sign(self) -> int:
         """Exact sign; terminates because nonzero elements cannot vanish at theta."""
         if self.is_zero():
             return 0
-        iv = next(iv for iv in self._enclosures() if iv.lo > 0 or iv.hi < 0)
-        return 1 if iv.lo > 0 else -1
+        lo, _, _ = next(e for e in self._enclosures() if e[0] > 0 or e[1] < 0)
+        return 1 if lo > 0 else -1
 
     def cmp_rational(self, q) -> int:
         return (self - Fraction(q)).sign()
 
 
-def _horner_interval(coeffs, iv: RatInterval) -> RatInterval:
-    """Interval Horner acc * iv + c on integer coefficients, with acc kept
-    as integer numerators over a growing power of iv's denominator."""
-    lo, hi, d = _numerators(iv)
+def _horner(coeffs, lo: int, hi: int, d: int) -> tuple[int, int, int]:
+    """Interval Horner acc * [lo/d, hi/d] + c on integer coefficients, with
+    acc kept as integer numerators over a growing power of d: the
+    enclosure's numerators and their denominator."""
     acc_lo = acc_hi = 0
     den = 1
     for c in reversed(coeffs):
@@ -319,17 +323,22 @@ def _horner_interval(coeffs, iv: RatInterval) -> RatInterval:
         den *= d
         acc_lo += c * den
         acc_hi += c * den
-    return RatInterval(Fraction(acc_lo, den), Fraction(acc_hi, den))
+    return acc_lo, acc_hi, den
+
+
+def _horner_interval(coeffs, iv: RatInterval) -> RatInterval:
+    """_horner on a RatInterval, with one Fraction pair at the end."""
+    lo, hi, den = _horner(coeffs, *_numerators(iv))
+    return RatInterval(Fraction(lo, den), Fraction(hi, den))
 
 
 # -- Salem verdicts --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SalemVerdict:
+class SalemVerdict(NamedTuple):
     status: str  # "GeometricSalem" | "Salem" | "NotSalem" | "Inconclusive"
     reason: str
-    evidence: dict = field(default_factory=dict)
+    evidence: dict
 
     def __bool__(self) -> bool:
         return self.status in ("GeometricSalem", "Salem")
@@ -477,8 +486,7 @@ def is_salem(p: UniPoly) -> SalemVerdict:
 # -- Galois certificates -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GaloisCertificate:
+class GaloisCertificate(NamedTuple):
     irreducibility: IrreducibilityVerdict
     samples: tuple[tuple[int, tuple[int, ...]], ...]  # (prime, sorted factor degrees)
     conclusion: str  # "FullSymmetric(n)" | "ContainsNCycle(n)" | "Unknown"
@@ -551,8 +559,7 @@ def _irreducibility_line(irr: IrreducibilityVerdict) -> str:
 # -- non-arithmeticity report ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NonArithmeticityReport:
+class NonArithmeticityReport(NamedTuple):
     lines: tuple[str, ...]
     verdict: str  # "NonArithmeticCertified" | "Silent" | "NotCertified"
     certificate: Optional[GaloisCertificate] = None

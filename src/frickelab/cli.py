@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import algebraic, fricke, variety
@@ -18,19 +17,19 @@ from .tracering import format_tracepoly, trace_polynomial
 from .words import Word, parse_word, parse_word_list
 
 
-@dataclass
 class RunConfig:
-    precision_bits: int = 128
-    prime_bound: int = 500
-    seed: int = 0
-    machine: bool = False
-    raw: bool = False
-
-    def __post_init__(self):
-        if self.precision_bits < 32:
+    def __init__(
+        self, precision_bits: int = 128, prime_bound: int = 500, seed: int = 0, machine: bool = False, raw: bool = False
+    ):
+        if precision_bits < 32:
             raise ValueError("--precision-bits must be at least 32")
-        if self.prime_bound < 2:
+        if prime_bound < 2:
             raise ValueError("--prime-bound must be at least 2")
+        self.precision_bits = precision_bits
+        self.prime_bound = prime_bound
+        self.seed = seed
+        self.machine = machine
+        self.raw = raw
 
     @property
     def eps(self) -> Fraction:

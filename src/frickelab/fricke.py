@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .algebraic import AlgebraicReal, FieldElement, NumberField, make_algebraic
 from .intervals import PrecisionError, RatInterval, _numerators
@@ -149,8 +148,7 @@ def _coord_cmp_rational(c: Coordinate, q) -> int:
 # -- evaluation at a point -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(NamedTuple):
     """Value of a trace polynomial at a point, with its decidability kind."""
 
     kind: str  # matches the point kind
@@ -224,8 +222,7 @@ def markov_residual(pt: FrickePoint) -> EvalResult:
     return evaluate_at_point(MARKOV, pt)
 
 
-@dataclass(frozen=True)
-class MembershipCertificate:
+class MembershipCertificate(NamedTuple):
     member: bool
     lines: tuple[str, ...]
 

@@ -128,8 +128,10 @@ class RatInterval:
         return RatInterval.coerce(other) * self.reciprocal()
 
 
-def _numerators(iv: RatInterval) -> tuple[int, int, int]:
-    """Endpoints of iv as integer numerators over one positive denominator."""
+def _numerators(iv) -> tuple[int, int, int]:
+    """Endpoints of iv, a RatInterval or an AlgebraicReal's isolating
+    interval (the Fractions iv.lo, iv.hi), as integer numerators over one
+    positive denominator."""
     den = math.lcm(iv.lo.denominator, iv.hi.denominator)
     return iv.lo.numerator * (den // iv.lo.denominator), iv.hi.numerator * (den // iv.hi.denominator), den
 

@@ -43,10 +43,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 
 class EndpointRootError(ValueError):
@@ -907,8 +906,7 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-@dataclass(frozen=True)
-class IrreducibilityVerdict:
+class IrreducibilityVerdict(NamedTuple):
     status: str  # "irreducible" | "rational_root" | "inconclusive"
     witness: Optional[int] = None
     root: Optional[Fraction] = None

@@ -15,18 +15,23 @@ tr(w) = 2 c0 + X c1 + Y c2 + Z c3.
 trace_polynomial runs the same updates over a packed image of
 Z[X, Y, Z] and decodes the image of tr(w) once.  The updates are one
 table of formulas, one per letter and new coefficient, each a signed sum
-of old coefficients times 1, X, Y, Z or W = Z - XY; it is resolved once,
-at import, for both layouts below.  Each layout is the image of a ring
-homomorphism, so the pass computes the image of tr(w), a value that
-cancels to zero is zero in the image too, and only tr(w) itself has to
-decode.  n_a and n_b count the letters a, A and b, B.
+of old coefficients times 1, X, Y, Z or W = Z - XY.  For the integer
+passes each formula is compiled once, at import, into a Python expression
+(_rule_source writes its text from the parsed terms), so a pass does the
+arithmetic directly instead of reading the table term by term.  Each
+layout is the image of a ring homomorphism, so the pass computes the
+image of tr(w), a value that cancels to zero is zero in the image too,
+and only tr(w) itself has to decode.  n_a and n_b count the letters a, A
+and b, B.
 
 The Kronecker layout (von zur Gathen & Gerhard, Modern Computer Algebra,
 section 8.4) maps X -> 2^h, Y -> 2^(hU) and Z -> 2^(h + hU + 2hUV), with
 h = s/2, U = n_a // 2 + 1 and V = n_b // 2 + 1.  A coefficient is one
-int, a multiplier is one shift and W is two, so a letter costs about a
-dozen shifts and adds.  X^i Y^j Z^k maps to 2^(h(i + k) + hU(j + k) +
-2hUV k), and three facts about the monomials of tr(w) place it:
+int, a multiplier is one shift and W is two, and each new coefficient is
+one compiled expression of them: `W*c2 - c1 - Y*c3` is
+`(c2 << z) - (c2 << xy) - c1 - (c3 << y)`, four calls per letter.
+X^i Y^j Z^k maps to 2^(h(i + k) + hU(j + k) + 2hUV k), and three facts
+about the monomials of tr(w) place it:
 - i + k <= n_a.  Give 1, A, B, AB the a-weights 0, 1, 0, 1, and X, Z
   a-degree 1 (Y and W a-degree 0 and 1).  After some letters, c_m has
   a-degree at most (a-letters so far) - (a-weight of m): every term of
@@ -115,10 +120,11 @@ L letters.  Short words run in one ring, long ones on vectors:
 - Ring (_ring_numerators).  t -> 2^s sends g to N = g(2^s), so it is a
   ring homomorphism Z[t]/(g) -> Z/N.  Each coefficient is one int, each
   multiplier with vector v the int sum v_k 2^(ks), and each new
-  coefficient its rule's signed sum of products, reduced mod N once; the
-  pass thus computes the image of sum d_k t^k, whatever its intermediate
-  ints, and reads the d_k back from its balanced residue as balanced
-  s-bit digits.
+  coefficient its rule's signed sum of products, reduced mod N once: one
+  compiled step per letter (_RING_STEPS) computes all four, as in
+  `(iW * c2 - i1 * c1 - iY * c3) % N`.  The pass thus computes the image
+  of sum d_k t^k, whatever its intermediate ints, and reads the d_k back
+  from its balanced residue as balanced s-bit digits.
 - Bound.  Let M_m be the integer matrix of multiplication by E m on the
   power basis (column j is E m t^j reduced mod g, by poly._rem_monic) and
   mu_m its largest absolute row sum, so |M_m v|_inf <= mu_m |v|_inf.  A
@@ -141,10 +147,10 @@ L letters.  Short words run in one ring, long ones on vectors:
   n s <= _RING_BITS = 2^10, the vector pass otherwise.  At the paper point
   (n = 5; s0, s_a, s_b = 9, 6, 4) that is every word of up to 32 letters
   and no word of more than 48.  There, on seeded words (CPython 3.11, a
-  shared 2-vCPU x86-64 host), the ring took 0.27 of the vector pass's
-  time at 10 letters, 0.30 at 26, 0.45 at 40 (n s ~ 1050), 0.69 at 60
-  (~ 1530), 1.07 at 80 (~ 2050) and 5 at 200: the rule keeps the ring
-  where it is about twice as fast.
+  shared 2-vCPU x86-64 host), the ring took 0.19 of the vector pass's
+  time at 10 letters, 0.25 at 26, 0.37 at 40 (n s ~ 1050), about 0.65 at
+  60 (~ 1550), about 0.95 at 80 (~ 2050) and 5.5 at 200: the rule keeps
+  the ring where it is more than twice as fast.
 - Vector (_vector_numerators).  Each new coefficient is one unreduced sum
   of products in 2n - 1 slots, reduced to n slots once modulo g
   (poly._rem_monic, the reduction NumberField uses); nothing is packed,
@@ -471,8 +477,6 @@ _MONOMIALS = {
     "Z": (((0, 0, 1), 1),),
     "W": (((0, 0, 1), 1), ((1, 1, 0), -1)),
 }
-# the monomials of _MONOMIALS in the order of a Kronecker shift table
-_SHIFTED = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0))
 
 
 def _rule_terms(formula: str) -> tuple[tuple[int, int, str], ...]:
@@ -485,27 +489,53 @@ def _rule_terms(formula: str) -> tuple[tuple[int, int, str], ...]:
     return tuple(terms)
 
 
-def _packed_rule(formula: str) -> tuple:
-    """The formula resolved for both packed layouts: a pair for each.
+def _rule_source(formula: str, write) -> str:
+    """The formula as a Python expression: write(old index, multiplier)
+    gives each term's signed pieces (sign, text), and the pieces are joined
+    by their signs, a positive one first, as the sum starts from it."""
+    pieces = [(sign * g, text) for i, sign, m in _rule_terms(formula) for g, text in write(i, m)]
+    pieces.sort(key=lambda piece: piece[0] < 0)
+    source = ("-" if pieces[0][0] < 0 else "") + pieces[0][1]
+    return source + "".join(f" {'-' if g < 0 else '+'} {text}" for g, text in pieces[1:])
 
-    For the Kronecker layout, its first source (old index, sign, index
-    into the shift table) and the rest; a positive source goes first, as
-    the sum starts from it, not from 0.  For the Z-packed dicts, its first
-    source (old index, sign, key offset, Z shift) and the rest (old index,
-    sign, key offset).  The source that shifts goes first there, the only
-    one copied with a shift: every formula has at most one, and v << 0
-    would copy a big int too."""
-    sources = [
-        (i, sign * g, mono)
-        for i, sign, multiplier in _rule_terms(formula)
-        for mono, g in _MONOMIALS[multiplier]
+
+def _compiled(params: str, source: str):
+    """A function of params returning source, compiled once."""
+    # source is written by _rule_source from module constants only, the
+    # rule tables, never from input: it holds the old indexes (ints) and
+    # multiplier names that _rule_terms parses from them, the parameter
+    # names and operators
+    return eval(f"lambda {params}: {source}", {})
+
+
+def _kronecker_term(i: int, multiplier: str) -> list[tuple[int, str]]:
+    """c_i times a multiplier on Kronecker images: a shift by the image's
+    exponent per monomial, x, y, z or xy, with W = Z - XY two of them."""
+    return [
+        (g, f"(c{i} << {'x' * e[0] + 'y' * e[1] + 'z' * e[2]})" if any(e) else f"c{i}")
+        for e, g in _MONOMIALS[multiplier]
     ]
-    first, *rest = sorted(
-        ((i, g, x * _KEY_X + y * _KEY_Y, z) for i, g, (x, y, z) in sources), key=lambda source: not source[3]
-    )
+
+
+def _packed_rule(formula: str) -> tuple:
+    """The formula resolved for both packed layouts.
+
+    For the Kronecker layout, a function of the old images c0..c3 and the
+    shifts x, y, z, xy of X, Y, Z and XY: `W*c2 - c1 - Y*c3` becomes
+    `(c2 << z) - (c2 << xy) - c1 - (c3 << y)`.  For the Z-packed dicts,
+    its first source (old index, sign, key offset, Z shift) and the rest
+    (old index, sign, key offset).  The source that shifts goes first
+    there, the only one copied with a shift: every formula has at most one,
+    and v << 0 would copy a big int too."""
+    sources = [
+        (i, sign * g, x * _KEY_X + y * _KEY_Y, z)
+        for i, sign, multiplier in _rule_terms(formula)
+        for (x, y, z), g in _MONOMIALS[multiplier]
+    ]
+    first, *rest = sorted(sources, key=lambda source: not source[3])
     assert not any(z for *_, z in rest), formula
-    shifted = sorted(((i, g, _SHIFTED.index(mono)) for i, g, mono in sources), key=lambda source: source[1] < 0)
-    return (shifted[0], tuple(shifted[1:])), (first, tuple((i, g, dk) for i, g, dk, _ in rest))
+    kronecker = _compiled("c0, c1, c2, c3, x, y, z, xy", _rule_source(formula, _kronecker_term))
+    return kronecker, (first, tuple((i, g, dk) for i, g, dk, _ in rest))
 
 
 _PACKED_RULES = {letter: tuple(map(_packed_rule, rules)) for letter, rules in _LETTER_RULES.items()}
@@ -542,30 +572,21 @@ def _kronecker_trace(letters, n_a: int, n_b: int, s: int) -> TracePoly:
 
 def _packed_trace(letters, shifts) -> int:
     """The image of tr(w) under X -> 2^x, Y -> 2^y, Z -> 2^z, for the shift
-    table shifts = (0, x, y, z, x + y) of 1, X, Y, Z and XY: the letter
-    rules on one int per coefficient, with no decode.  _kronecker_trace
-    passes the parity-compressed layout, variety._packed_residual the
-    plain box."""
-    cs = [1, 0, 0, 0]
+    table shifts = (0, x, y, z, x + y) of 1, X, Y, Z and XY: the compiled
+    letter rules of _PACKED_RULES on one int per coefficient, with no
+    decode.  _kronecker_trace passes the parity-compressed layout,
+    variety._packed_residual the plain box."""
+    _, x, y, z, xy = shifts
+    c0, c1, c2, c3 = 1, 0, 0, 0
     for letter in letters:
-        cs = [_shifted_sum(rule[0], cs, shifts) for rule in _PACKED_RULES[letter]]
-    return _shifted_sum(_PACKED_TRACE[0], cs, shifts)
-
-
-def _shifted_sum(sources, cs, shifts) -> int:
-    """The signed sum of the sources (old index, sign, shift index) over
-    the Kronecker images cs, each shifted by its multiplier's exponent."""
-    (i, sign, m), rest = sources
-    total = cs[i] << shifts[m] if m else cs[i]
-    if sign < 0:
-        total = -total
-    for i, sign, m in rest:
-        c = cs[i] << shifts[m] if m else cs[i]
-        if sign > 0:
-            total += c
-        else:
-            total -= c
-    return total
+        (f0, _), (f1, _), (f2, _), (f3, _) = _PACKED_RULES[letter]
+        c0, c1, c2, c3 = (
+            f0(c0, c1, c2, c3, x, y, z, xy),
+            f1(c0, c1, c2, c3, x, y, z, xy),
+            f2(c0, c1, c2, c3, x, y, z, xy),
+            f3(c0, c1, c2, c3, x, y, z, xy),
+        )
+    return _PACKED_TRACE[0](c0, c1, c2, c3, x, y, z, xy)
 
 
 def _z_packed_trace(letters, s: int) -> TracePoly:
@@ -710,29 +731,39 @@ def _vector_numerators(letters, table, g) -> list[int]:
     return _reduced_sum(_EXACT_TRACE, cs, table, g)
 
 
+def _ring_term(i: int, multiplier: str) -> list[tuple[int, str]]:
+    """c_i times a multiplier in the ring: its image iM, i1 for 1."""
+    return [(1, f"i{multiplier} * c{i}")]
+
+
+_RING_PARAMS = "c0, c1, c2, c3, i1, iX, iY, iZ, iW, N"
+
+
+def _ring_step(rules) -> str:
+    """The source of one letter's step in Z/N: each new coefficient its
+    rule's sum of products, reduced once."""
+    return "(" + ", ".join(f"({_rule_source(rule, _ring_term)}) % N" for rule in rules) + ")"
+
+
+_RING_STEPS = {letter: _compiled(_RING_PARAMS, _ring_step(rules)) for letter, rules in _LETTER_RULES.items()}
+_RING_TRACE = _compiled(_RING_PARAMS, f"({_rule_source(_TRACE_RULE, _ring_term)}) % N")
+
+
 def _ring_numerators(letters, table, g, s: int) -> list[int]:
     """The numerators of _trace_numerators by the letter rules in Z/N,
     N = g(2^s), under t -> 2^s: each coefficient one int, each new one
-    reduced once, and tr(w) read back as n balanced s-bit digits.  Exact
-    for every s of at least s0 + n_a s_a + n_b s_b from the point's
-    _growth_bits (module docstring)."""
-    modulus = sum(c << k * s for k, c in enumerate(g))
-    image = {name: sum(m << k * s for k, m in table[name, 1]) for name in "1XYZW"}
-    cs = [1, 0, 0, 0]
+    reduced once by its letter's compiled step (_RING_STEPS), and tr(w)
+    read back as n balanced s-bit digits.  Exact for every s of at least
+    s0 + n_a s_a + n_b s_b from the point's _growth_bits (module
+    docstring)."""
+    N = sum(c << k * s for k, c in enumerate(g))
+    i1, iX, iY, iZ, iW = (sum(m << k * s for k, m in table[name, 1]) for name in "1XYZW")
+    c0, c1, c2, c3 = 1, 0, 0, 0
     for letter in letters:
-        new = []
-        for rule in _EXACT_RULES[letter]:
-            total = 0
-            for i, sign, m in rule:
-                if sign > 0:
-                    total += image[m] * cs[i]
-                else:
-                    total -= image[m] * cs[i]
-            new.append(total % modulus)
-        cs = new
-    t = sum(sign * image[m] * cs[i] for i, sign, m in _EXACT_TRACE) % modulus
-    if t > modulus >> 1:
-        t -= modulus
+        c0, c1, c2, c3 = _RING_STEPS[letter](c0, c1, c2, c3, i1, iX, iY, iZ, iW, N)
+    t = _RING_TRACE(c0, c1, c2, c3, i1, iX, iY, iZ, iW, N)
+    if t > N >> 1:
+        t -= N
     nums = []
     half, mask = 1 << (s - 1), (1 << s) - 1
     for _ in range(len(g) - 1):

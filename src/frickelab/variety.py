@@ -13,9 +13,8 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .algebraic import SalemVerdict, is_geometric_salem
 from .fricke import EvalResult, FrickePoint, evaluate_at_point, trace_of
@@ -121,8 +120,7 @@ def parse_variety_poly(text: str, arity: Optional[int] = None) -> VarietyPolynom
 # -- symbolic membership -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SymbolicResidual:
+class SymbolicResidual(NamedTuple):
     """Primitive integer residual together with the cleared denominator.
 
     The actual residual is poly * (content / denominator); vanishing of the
@@ -149,9 +147,18 @@ def symbolic_residual(F: VarietyPolynomial, words: Sequence[Word]) -> SymbolicRe
     one whose box exceeds _KRONECKER_BITS, is built term by term from the
     decoded trace polynomials, which numeric_member evaluates at a point.
     """
-    if len(words) != F.arity:
-        raise ValueError(f"arity mismatch: polynomial takes {F.arity} words, got {len(words)}")
-    int_terms, den = F.clear_denominators()
+    _check_arity(F, len(words))
+    return _cleared_residual(*F.clear_denominators(), words)
+
+
+def _check_arity(F: VarietyPolynomial, n: int) -> None:
+    if n != F.arity:
+        raise ValueError(f"arity mismatch: polynomial takes {F.arity} words, got {n}")
+
+
+def _cleared_residual(int_terms: Mapping[Exponents, int], den: int, words: Sequence[Word]) -> SymbolicResidual:
+    """symbolic_residual from F's cleared numerator int_terms and its
+    denominator den, so that a suite clears F once."""
     if _packed_residual(int_terms, words) == 0:
         return SymbolicResidual(TracePoly(), 1, den)
     traces = [trace_polynomial(w) for w in words]
@@ -223,8 +230,7 @@ def pattern_member(u: Word, v: Word, pt: FrickePoint) -> str:
 # -- the geometric-Salem hypothesis check ----------------------------------------
 
 
-@dataclass(frozen=True)
-class SubsetCheck:
+class SubsetCheck(NamedTuple):
     subset: tuple[int, ...]
     word: Word
     minimal_polynomial: UniPoly
@@ -236,8 +242,7 @@ class SubsetCheck:
         return self.salem.status == "GeometricSalem" and self.trace_is_root
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     checks: tuple[SubsetCheck, ...]
     rigidity_set: tuple[str, ...]
     satisfied: bool
@@ -319,8 +324,7 @@ def _trace_is_root(tr: EvalResult, f: UniPoly, tol: Fraction) -> tuple[bool, boo
 # -- randomized identity suite -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     samples: int
     max_len: int
     seed: int
@@ -368,12 +372,14 @@ def trace_identity_suite(
     if max_len < 0:
         raise ValueError(f"max_len must be at least 0, got {max_len}")
     F = polynomial if polynomial is not None else FUNDAMENTAL_IDENTITY
+    _check_arity(F, 4)
+    int_terms, den = F.clear_denominators()
     rng = random.Random(seed)
     failures = []
     for _ in range(sample_count):
         u = random_word(rng, max_len)
         v = random_word(rng, max_len)
         tup = (u, v, concat(u, v), concat(u, ~v))
-        if not symbolic_residual(F, tup).is_zero():
+        if not _cleared_residual(int_terms, den, tup).is_zero():
             failures.append((str(u), str(v)))
     return SuiteReport(sample_count, max_len, seed, tuple(failures))
